@@ -39,12 +39,19 @@
 // scenario is missing from the run — the CI perf-smoke gate.
 // `--no-fastpath` runs the machine scenarios on the naive engine
 // paths, quantifying what the fast paths buy.
+//
+// Machine construction is reported on its own, ungated rows
+// (construct_2s16c, construct_8s120c: median construct_ms over
+// several constructions of each preset), so set-up cost, which the
+// event rates exclude, stays visible.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -401,6 +408,28 @@ runBigMachine(const char *name, bool no_fastpath,
     return {name, events, wall, digest};
 }
 
+/** Median wall time of constructing one Machine of a preset. */
+struct ConstructResult
+{
+    const char *name;
+    unsigned constructions;
+    double medianMs;
+};
+
+ConstructResult
+measureConstruction(const char *name, const MachineConfig &config)
+{
+    constexpr unsigned kConstructions = 9;
+    std::vector<double> ms;
+    for (unsigned i = 0; i < kConstructions; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        auto machine = std::make_unique<Machine>(config, PolicyKind::Latr);
+        ms.push_back(1e3 * wallSeconds(start));
+    }
+    std::sort(ms.begin(), ms.end());
+    return {name, kConstructions, ms[kConstructions / 2]};
+}
+
 /**
  * Pull every scenario's events_per_sec out of a BENCH_engine.json
  * written by an earlier run: (name, events_per_sec) in file order.
@@ -424,13 +453,17 @@ baselineScenarios(const std::string &path)
         if (end == std::string::npos)
             break;
         const std::string name = text.substr(at, end - at);
+        // Only this row's own field: construction rows carry none.
+        const std::size_t row_end = text.find('}', end);
         const std::size_t eps =
             text.find("\"events_per_sec\":", end);
+        at = end;
         if (eps == std::string::npos)
             break;
+        if (eps > row_end)
+            continue;
         out.emplace_back(
             name, std::strtod(text.c_str() + eps + 17, nullptr));
-        at = end;
     }
     return out;
 }
@@ -540,6 +573,22 @@ main(int argc, char **argv)
             stormEps = r.eventsPerSec();
         else if (std::strcmp(r.name, "big_machine") == 0)
             bigEps = r.eventsPerSec();
+    }
+    bench::rule();
+
+    const ConstructResult constructs[] = {
+        measureConstruction("construct_2s16c",
+                            MachineConfig::commodity2S16C()),
+        measureConstruction("construct_8s120c",
+                            MachineConfig::largeNuma8S120C()),
+    };
+    for (const ConstructResult &c : constructs) {
+        std::printf("%-16s | %14u %10s | %11.3f ms (median, ungated)\n",
+                    c.name, c.constructions, "", c.medianMs);
+        json.row()
+            .str("scenario", c.name)
+            .num("constructions", std::uint64_t{c.constructions})
+            .num("construct_ms", c.medianMs);
     }
     bench::rule();
     for (std::size_t i = 2; i + 1 < results.size(); i += 2) {

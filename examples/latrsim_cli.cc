@@ -11,8 +11,11 @@
 //   latrsim_cli --workload=serve --replay=run.latrace --policy=linux
 //
 // Prints the headline metrics plus the machine's stat dump with
-// --stats.
+// --stats. An unknown option or workload exits 1 after the usage
+// text; a malformed or out-of-range numeric value exits 2.
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -68,7 +71,7 @@ struct Options
     bool dumpStats = false;
     std::string tracePath;     // chrome://tracing / Perfetto JSON
     std::string traceTextPath; // human-readable timeline
-    std::size_t traceCapacity = 0; // 0 = recorder default
+    std::uint64_t traceCapacity = 0; // 0 = recorder default
 };
 
 void
@@ -118,7 +121,50 @@ usage(const char *argv0)
         argv0);
 }
 
+/** What parseArg() made of one argument. */
+enum class ArgStatus
+{
+    Ok,
+    Unknown,  ///< not an option: print usage, exit 1
+    BadValue, ///< malformed or out of range: already reported, exit 2
+};
+
+/**
+ * Parse @p text as a decimal integer in [lo, hi]. The whole string
+ * must be digits: no sign, no whitespace, no trailing text.
+ */
 bool
+parseUnsigned(const char *text, std::uint64_t lo, std::uint64_t hi,
+              std::uint64_t *out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || v < lo || v > hi)
+        return false;
+    *out = v;
+    return true;
+}
+
+/** Parse @p text as a finite number in [lo, hi], nothing trailing. */
+bool
+parseReal(const char *text, double lo, double hi, double *out)
+{
+    if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (errno != 0 || *end != '\0' || !std::isfinite(v) || v < lo ||
+        v > hi)
+        return false;
+    *out = v;
+    return true;
+}
+
+ArgStatus
 parseArg(Options &opts, const char *arg)
 {
     auto value = [&](const char *key) -> const char * {
@@ -127,6 +173,79 @@ parseArg(Options &opts, const char *arg)
             return arg + n + 1;
         return nullptr;
     };
+    // Numeric options: name, accepted range, destination.
+    struct UnsignedOpt
+    {
+        const char *key;
+        std::uint64_t lo, hi;
+        std::uint64_t *u64;
+        unsigned *u32;
+    };
+    constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 62;
+    const UnsignedOpt unsignedOpts[] = {
+        {"--workers", 1, 4096, nullptr, &opts.workers},
+        {"--cores", 1, 4096, nullptr, &opts.cores},
+        {"--pages", 1, std::uint64_t{1} << 32, &opts.pages, nullptr},
+        {"--duration-ticks", 0, kMaxTicks, &opts.durationTicks, nullptr},
+        {"--cache-pages", 0, std::uint64_t{1} << 32, &opts.cachePages,
+         nullptr},
+        {"--readers", 0, 4096, nullptr, &opts.readers},
+        {"--writers", 0, 4096, nullptr, &opts.writers},
+        {"--burst-pages", 0, std::uint64_t{1} << 32, &opts.burstPages,
+         nullptr},
+        {"--pressure-interval", 0, kMaxTicks, &opts.pressureInterval,
+         nullptr},
+        {"--tenants", 0, 4096, nullptr, &opts.tenants},
+        {"--users", 0, std::uint64_t{1} << 32, &opts.users, nullptr},
+        {"--churn-interval", 0, kMaxTicks, &opts.churnInterval, nullptr},
+        {"--seed", 0, ~std::uint64_t{0}, &opts.seed, nullptr},
+        {"--sim-threads", 0, 256, nullptr, &opts.simThreads},
+        {"--trace-capacity", 0, std::uint64_t{1} << 32,
+         &opts.traceCapacity, nullptr},
+    };
+    struct RealOpt
+    {
+        const char *key;
+        double lo, hi;
+        double *out;
+    };
+    const RealOpt realOpts[] = {
+        {"--hot-fraction", 0.0, 1.0, &opts.hotFraction},
+        {"--arrival-rate", 0.0, 1e9, &opts.arrivalRate},
+        {"--rate-scale", 0.0, 1e6, &opts.rateScale},
+    };
+    for (const UnsignedOpt &o : unsignedOpts) {
+        const char *v = value(o.key);
+        if (!v)
+            continue;
+        std::uint64_t parsed = 0;
+        if (!parseUnsigned(v, o.lo, o.hi, &parsed)) {
+            std::fprintf(stderr,
+                         "bad value '%s' for %s: want an integer in "
+                         "[%llu, %llu]\n",
+                         v, o.key, static_cast<unsigned long long>(o.lo),
+                         static_cast<unsigned long long>(o.hi));
+            return ArgStatus::BadValue;
+        }
+        if (o.u64)
+            *o.u64 = parsed;
+        else
+            *o.u32 = static_cast<unsigned>(parsed);
+        return ArgStatus::Ok;
+    }
+    for (const RealOpt &o : realOpts) {
+        const char *v = value(o.key);
+        if (!v)
+            continue;
+        if (!parseReal(v, o.lo, o.hi, o.out)) {
+            std::fprintf(stderr,
+                         "bad value '%s' for %s: want a number in "
+                         "[%g, %g]\n",
+                         v, o.key, o.lo, o.hi);
+            return ArgStatus::BadValue;
+        }
+        return ArgStatus::Ok;
+    }
     if (const char *v = value("--workload")) {
         opts.workload = v;
     } else if (const char *v = value("--policy")) {
@@ -135,58 +254,22 @@ parseArg(Options &opts, const char *arg)
         opts.machine = v;
     } else if (const char *v = value("--benchmark")) {
         opts.benchmark = v;
-    } else if (const char *v = value("--workers")) {
-        opts.workers = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--cores")) {
-        opts.cores = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--pages")) {
-        opts.pages = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--duration-ticks")) {
-        opts.durationTicks = static_cast<Tick>(std::atoll(v));
-    } else if (const char *v = value("--cache-pages")) {
-        opts.cachePages = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--hot-fraction")) {
-        opts.hotFraction = std::atof(v);
-    } else if (const char *v = value("--readers")) {
-        opts.readers = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--writers")) {
-        opts.writers = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--burst-pages")) {
-        opts.burstPages = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--pressure-interval")) {
-        opts.pressureInterval = static_cast<Duration>(std::atoll(v));
-    } else if (const char *v = value("--arrival-rate")) {
-        opts.arrivalRate = std::atof(v);
-    } else if (const char *v = value("--tenants")) {
-        opts.tenants = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--users")) {
-        opts.users = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--churn-interval")) {
-        opts.churnInterval = static_cast<Duration>(std::atoll(v));
-    } else if (const char *v = value("--seed")) {
-        opts.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--sim-threads")) {
-        opts.simThreads = static_cast<unsigned>(std::atoi(v));
     } else if (const char *v = value("--record")) {
         opts.recordPath = v;
     } else if (const char *v = value("--replay")) {
         opts.replayPath = v;
-    } else if (const char *v = value("--rate-scale")) {
-        opts.rateScale = std::atof(v);
     } else if (const char *v = value("--trace")) {
         opts.tracePath = v;
     } else if (const char *v = value("--trace-text")) {
         opts.traceTextPath = v;
-    } else if (const char *v = value("--trace-capacity")) {
-        opts.traceCapacity = static_cast<std::size_t>(std::atoll(v));
     } else if (std::strcmp(arg, "--no-fastpath") == 0) {
         opts.noFastpath = true;
     } else if (std::strcmp(arg, "--stats") == 0) {
         opts.dumpStats = true;
     } else {
-        return false;
+        return ArgStatus::Unknown;
     }
-    return true;
+    return ArgStatus::Ok;
 }
 
 PolicyKind
@@ -222,7 +305,10 @@ main(int argc, char **argv)
 {
     Options opts;
     for (int i = 1; i < argc; ++i) {
-        if (!parseArg(opts, argv[i])) {
+        const ArgStatus status = parseArg(opts, argv[i]);
+        if (status == ArgStatus::BadValue)
+            return 2;
+        if (status == ArgStatus::Unknown) {
             usage(argv[0]);
             return 1;
         }

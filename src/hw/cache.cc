@@ -5,17 +5,28 @@
 namespace latr
 {
 
-LlcCache::LlcCache(std::uint64_t size_bytes, unsigned ways,
-                   unsigned line_bytes)
-    : ways_(ways), lineBytes_(line_bytes)
+namespace
+{
+
+unsigned
+setsFor(std::uint64_t size_bytes, unsigned ways, unsigned line_bytes)
 {
     if (ways == 0 || line_bytes == 0)
         fatal("LLC needs nonzero ways and line size");
     std::uint64_t lines = size_bytes / line_bytes;
     if (lines < ways)
         fatal("LLC smaller than one set");
-    sets_ = static_cast<unsigned>(lines / ways);
-    lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    return static_cast<unsigned>(lines / ways);
+}
+
+} // namespace
+
+LlcCache::LlcCache(std::uint64_t size_bytes, unsigned ways,
+                   unsigned line_bytes)
+    : ways_(ways), lineBytes_(line_bytes),
+      sets_(setsFor(size_bytes, ways, line_bytes)),
+      lines_(static_cast<std::size_t>(sets_) * ways_)
+{
 }
 
 unsigned
@@ -37,7 +48,7 @@ LlcCache::access(std::uint64_t line_addr, CacheAccessOrigin origin)
     // Hits are partition-agnostic; only fills honor the CAT mask.
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == line_addr) {
+        if (line.valid() && line.tag == line_addr) {
             line.lastUse = useClock_;
             ++hits_[static_cast<int>(origin)];
             return true;
@@ -56,16 +67,15 @@ LlcCache::access(std::uint64_t line_addr, CacheAccessOrigin origin)
     Line *lru = &base[first];
     for (unsigned w = first; w < last; ++w) {
         Line &line = base[w];
-        if (!line.valid) {
+        if (!line.valid()) {
             lru = &line;
             break;
         }
-        if (lru->valid && line.lastUse < lru->lastUse)
+        if (lru->valid() && line.lastUse < lru->lastUse)
             lru = &line;
     }
 
     ++misses_[static_cast<int>(origin)];
-    lru->valid = true;
     lru->tag = line_addr;
     lru->lastUse = useClock_;
     return false;
@@ -85,7 +95,7 @@ LlcCache::probe(std::uint64_t line_addr) const
     const unsigned set = setOf(line_addr);
     const Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
     for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].tag == line_addr)
+        if (base[w].valid() && base[w].tag == line_addr)
             return true;
     return false;
 }

@@ -6,15 +6,21 @@
  * remote caches) and LATR (whose states occupy a small, bounded LLC
  * footprint). Accesses are tagged by origin so the application miss
  * ratio can be reported separately from kernel/interrupt traffic.
+ *
+ * The line array is one zero-filled allocation (ZeroedArray) in which
+ * an all-zero line is invalid, so construction does no
+ * initialisation pass and the OS backs a set's memory only when the
+ * set is first touched: a run pays for the sets it uses, not for the
+ * cache's capacity.
  */
 
 #ifndef LATR_HW_CACHE_HH_
 #define LATR_HW_CACHE_HH_
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.hh"
+#include "sim/zeroed_array.hh"
 
 namespace latr
 {
@@ -41,6 +47,9 @@ class LlcCache
      * @param line_bytes cache-line size.
      */
     LlcCache(std::uint64_t size_bytes, unsigned ways, unsigned line_bytes);
+
+    LlcCache(const LlcCache &) = delete;
+    LlcCache &operator=(const LlcCache &) = delete;
 
     /**
      * Access one line. Misses install the line, evicting LRU.
@@ -77,11 +86,16 @@ class LlcCache
     /// @}
 
   private:
+    /**
+     * One cache line. lastUse == 0 means invalid: the use clock is
+     * advanced before every stamp, so a valid line's is at least 1.
+     */
     struct Line
     {
-        std::uint64_t tag = ~0ULL;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
+        std::uint64_t tag;
+        std::uint64_t lastUse;
+
+        bool valid() const { return lastUse != 0; }
     };
 
     unsigned setOf(std::uint64_t line_addr) const;
@@ -91,7 +105,7 @@ class LlcCache
     unsigned lineBytes_;
     unsigned sets_;
     std::uint64_t useClock_ = 0;
-    std::vector<Line> lines_; // sets_ * ways_, row-major by set
+    ZeroedArray<Line> lines_; // sets_ * ways_, row-major by set
 
     std::uint64_t hits_[3] = {0, 0, 0};
     std::uint64_t misses_[3] = {0, 0, 0};

@@ -1,7 +1,5 @@
 #include "hw/tlb.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
@@ -164,11 +162,25 @@ Tlb::Level::remove(const Key &k, Entry *removed_out)
 void
 Tlb::Level::clear()
 {
-    std::fill(table_.begin(), table_.end(), kNil);
-    for (unsigned i = 0; i < capacity_; ++i)
-        slots_[i].next = static_cast<std::uint16_t>(
-            i + 1 < capacity_ ? i + 1 : kNil);
-    freeHead_ = 0;
+    // Erase only the live slots: a flush costs O(size), not
+    // O(capacity), and most flushes (CR3 writes without PCID) hit an
+    // already empty TLB. Everything goes, so no backward shift is
+    // needed: each live slot's table cell is found by probing from
+    // its home for the slot index itself (emptied cells do not end
+    // that search), and the whole LRU chain is spliced onto the free
+    // list. Which free slot a later insert reuses is unobservable —
+    // LRU order, the probe table, and forEach() order depend on keys
+    // and insertion order, never on slot indices.
+    if (head_ == kNil)
+        return;
+    for (std::uint16_t i = head_; i != kNil; i = slots_[i].next) {
+        std::uint32_t pos = hashOf(slots_[i].entry.key) & mask_;
+        while (table_[pos] != i)
+            pos = (pos + 1) & mask_;
+        table_[pos] = kNil;
+    }
+    slots_[tail_].next = freeHead_;
+    freeHead_ = head_;
     head_ = tail_ = kNil;
     size_ = 0;
 }

@@ -209,7 +209,11 @@ class Tlb
     /** Drop every translation tagged @p pcid. */
     void invalidatePcid(Pcid pcid);
 
-    /** Full flush (CR3 write): drop everything. */
+    /**
+     * Full flush (CR3 write): drop everything. Costs O(size()), so
+     * flushing an empty TLB is cheap; it still counts as a flush,
+     * advances mutationSeq(), and emits its trace instant.
+     */
     void flushAll();
 
     /** Number of valid entries across all arrays. */
@@ -310,6 +314,7 @@ class Tlb
             }
         }
 
+        /** Erase every live entry; O(size), not O(capacity). */
         void clear();
 
       private:

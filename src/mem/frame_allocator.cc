@@ -1,29 +1,49 @@
 #include "mem/frame_allocator.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace latr
 {
 
-FrameAllocator::FrameAllocator(unsigned nodes,
-                               std::uint64_t frames_per_node)
-    : nodes_(nodes), framesPerNode_(frames_per_node)
+// Allocation order is that of a notional per-node LIFO list
+// [fresh frames descending..., freed frames in push order], popped
+// from the back: released frames come out newest first, and only
+// then fresh frames, lowest first. The fresh part is a cursor plus
+// the blocks allocHuge() has claimed; the freed part is a doubly
+// linked stack, so removing a frame from the middle of it (a huge
+// claim, allocLowest()) keeps the order of the rest.
+
+namespace
+{
+
+std::uint64_t
+checkedFramesPerNode(unsigned nodes, std::uint64_t frames_per_node)
 {
     if (nodes == 0 || frames_per_node == 0)
         fatal("frame allocator needs at least one node and one frame");
-    freeLists_.resize(nodes);
-    refcounts_.assign(static_cast<std::size_t>(nodes) * frames_per_node,
-                      0);
-    // LIFO free lists: push high frames first so low frames come out
-    // first, which keeps test output predictable.
+    // Freed-stack links are node-local index + 1 in 32 bits.
+    if (frames_per_node >= 0xffffffffULL)
+        fatal("frame allocator: %llu frames per node is too many",
+              static_cast<unsigned long long>(frames_per_node));
+    return frames_per_node;
+}
+
+} // namespace
+
+FrameAllocator::FrameAllocator(unsigned nodes,
+                               std::uint64_t frames_per_node)
+    : nodes_(nodes),
+      framesPerNode_(checkedFramesPerNode(nodes, frames_per_node)),
+      frames_(static_cast<std::size_t>(nodes) * frames_per_node)
+{
+    const std::uint64_t blocks =
+        (frames_per_node + kHugePageSpan - 1) / kHugePageSpan;
+    nodeState_.resize(nodes);
     for (unsigned n = 0; n < nodes; ++n) {
-        auto &list = freeLists_[n];
-        list.reserve(frames_per_node);
-        const Pfn base = static_cast<Pfn>(n) * frames_per_node;
-        for (std::uint64_t i = frames_per_node; i-- > 0;)
-            list.push_back(base + i);
+        Node &node = nodeState_[n];
+        node.base = static_cast<Pfn>(n) * frames_per_node;
+        node.freshCount = frames_per_node;
+        node.blocks.resize(blocks);
     }
 }
 
@@ -35,26 +55,88 @@ FrameAllocator::checkPfn(Pfn pfn) const
               static_cast<unsigned long long>(pfn));
 }
 
+void
+FrameAllocator::skipTakenBlocks(Node &n)
+{
+    while (n.freshCursor < framesPerNode_ &&
+           n.blocks[n.freshCursor / kHugePageSpan].freshTaken)
+        n.freshCursor = (n.freshCursor / kHugePageSpan + 1) *
+                        kHugePageSpan; // taken blocks are whole
+}
+
+std::uint32_t
+FrameAllocator::takeLowestFresh(Node &n)
+{
+    const auto local = static_cast<std::uint32_t>(n.freshCursor);
+    --n.freshCount;
+    ++n.freshCursor;
+    skipTakenBlocks(n);
+    return local;
+}
+
+void
+FrameAllocator::linkAbove(Node &n, std::uint32_t local,
+                          std::uint32_t below)
+{
+    Frame &f = frameAt(n, local);
+    f.below = below;
+    f.above = below ? frameAt(n, below - 1).above : n.freedBottom;
+    if (f.above)
+        frameAt(n, f.above - 1).below = local + 1;
+    else
+        n.freedTop = local + 1;
+    if (below)
+        frameAt(n, below - 1).above = local + 1;
+    else
+        n.freedBottom = local + 1;
+    ++n.freedCount;
+}
+
+void
+FrameAllocator::unlink(Node &n, std::uint32_t local)
+{
+    Frame &f = frameAt(n, local);
+    if (f.above)
+        frameAt(n, f.above - 1).below = f.below;
+    else
+        n.freedTop = f.below;
+    if (f.below)
+        frameAt(n, f.below - 1).above = f.above;
+    else
+        n.freedBottom = f.above;
+    f.above = f.below = 0;
+    --n.freedCount;
+}
+
+Pfn
+FrameAllocator::claim(Node &n, std::uint32_t local)
+{
+    const Pfn pfn = n.base + local;
+    Frame &f = frames_[pfn];
+    if (f.refcount != 0)
+        panic("free list held frame %llu with refcount %u",
+              static_cast<unsigned long long>(pfn), f.refcount);
+    f.refcount = 1;
+    ++n.blocks[local / kHugePageSpan].busy;
+    ++allocated_;
+    notifyAlloc(pfn);
+    return pfn;
+}
+
 Pfn
 FrameAllocator::alloc(NodeId node)
 {
     if (node >= nodes_)
         panic("alloc from nonexistent node %u", node);
     for (unsigned i = 0; i < nodes_; ++i) {
-        NodeId candidate = (node + i) % nodes_;
-        auto &list = freeLists_[candidate];
-        if (list.empty())
-            continue;
-        Pfn pfn = list.back();
-        list.pop_back();
-        if (refcounts_[pfn] != 0)
-            panic("free list held frame %llu with refcount %u",
-                  static_cast<unsigned long long>(pfn),
-                  refcounts_[pfn]);
-        refcounts_[pfn] = 1;
-        ++allocated_;
-        notifyAlloc(pfn);
-        return pfn;
+        Node &n = nodeState_[(node + i) % nodes_];
+        if (n.freedTop) {
+            const std::uint32_t local = n.freedTop - 1;
+            unlink(n, local);
+            return claim(n, local);
+        }
+        if (n.freshCount)
+            return claim(n, takeLowestFresh(n));
     }
     return kPfnInvalid;
 }
@@ -64,20 +146,38 @@ FrameAllocator::allocLowest(NodeId node)
 {
     if (node >= nodes_)
         panic("allocLowest from nonexistent node %u", node);
-    auto &list = freeLists_[node];
-    if (list.empty())
+    Node &n = nodeState_[node];
+    std::uint32_t lowest_freed = 0; // link
+    for (std::uint32_t x = n.freedTop; x; x = frameAt(n, x - 1).below)
+        if (!lowest_freed || x < lowest_freed)
+            lowest_freed = x;
+    // Mirror the notional list's swap-with-back removal of the
+    // minimum: the top freed frame takes the minimum's place.
+    if (n.freshCount &&
+        (!lowest_freed || n.freshCursor < lowest_freed - 1u)) {
+        const std::uint32_t local = takeLowestFresh(n);
+        // The lowest fresh frame sits right under the freed stack,
+        // so the top freed frame moves to the stack's bottom.
+        if (n.freedTop) {
+            const std::uint32_t top = n.freedTop - 1;
+            unlink(n, top);
+            linkAbove(n, top, 0);
+        }
+        return claim(n, local);
+    }
+    if (!lowest_freed)
         return kPfnInvalid;
-    auto it = std::min_element(list.begin(), list.end());
-    Pfn pfn = *it;
-    *it = list.back();
-    list.pop_back();
-    if (refcounts_[pfn] != 0)
-        panic("free list held frame %llu with refcount %u",
-              static_cast<unsigned long long>(pfn), refcounts_[pfn]);
-    refcounts_[pfn] = 1;
-    ++allocated_;
-    notifyAlloc(pfn);
-    return pfn;
+    const std::uint32_t local = lowest_freed - 1;
+    if (n.freedTop != lowest_freed) {
+        const std::uint32_t top = n.freedTop - 1;
+        unlink(n, top);
+        const std::uint32_t below = frameAt(n, local).below;
+        unlink(n, local);
+        linkAbove(n, top, below);
+    } else {
+        unlink(n, local);
+    }
+    return claim(n, local);
 }
 
 Pfn
@@ -85,34 +185,28 @@ FrameAllocator::allocHuge(NodeId node)
 {
     if (node >= nodes_)
         panic("allocHuge from nonexistent node %u", node);
-    const Pfn node_base = static_cast<Pfn>(node) * framesPerNode_;
-    const Pfn node_end = node_base + framesPerNode_;
-    // Scan aligned runs for one that is fully free.
-    for (Pfn base = node_base; base + kHugePageSpan <= node_end;
-         base += kHugePageSpan) {
-        bool free_run = true;
-        for (Pfn f = base; f < base + kHugePageSpan; ++f) {
-            if (refcounts_[f] != 0) {
-                free_run = false;
-                break;
-            }
-        }
-        if (!free_run)
+    Node &n = nodeState_[node];
+    // Only whole blocks qualify; a partial tail block never does.
+    const std::uint64_t whole = framesPerNode_ / kHugePageSpan;
+    for (std::uint64_t b = 0; b < whole; ++b) {
+        Block &block = n.blocks[b];
+        if (block.busy != 0)
             continue;
-        // Claim the run: pull every frame out of the free list.
-        auto &list = freeLists_[node];
-        list.erase(std::remove_if(list.begin(), list.end(),
-                                  [&](Pfn f) {
-                                      return f >= base &&
-                                             f < base + kHugePageSpan;
-                                  }),
-                   list.end());
-        for (Pfn f = base; f < base + kHugePageSpan; ++f) {
-            refcounts_[f] = 1;
-            ++allocated_;
-            notifyAlloc(f);
+        // Claim the run: take every frame out of the free pool, then
+        // hand them out in ascending order.
+        const auto start = static_cast<std::uint32_t>(b * kHugePageSpan);
+        const std::uint32_t end = start + kHugePageSpan;
+        for (std::uint32_t local = start; local < end; ++local) {
+            if (isFresh(n, local))
+                --n.freshCount;
+            else
+                unlink(n, local);
         }
-        return base;
+        block.freshTaken = true;
+        skipTakenBlocks(n);
+        for (std::uint32_t local = start; local < end; ++local)
+            claim(n, local);
+        return n.base + start;
     }
     return kPfnInvalid;
 }
@@ -134,23 +228,27 @@ void
 FrameAllocator::get(Pfn pfn)
 {
     checkPfn(pfn);
-    if (refcounts_[pfn] == 0)
+    if (frames_[pfn].refcount == 0)
         panic("get() on free frame %llu",
               static_cast<unsigned long long>(pfn));
-    ++refcounts_[pfn];
+    ++frames_[pfn].refcount;
 }
 
 void
 FrameAllocator::put(Pfn pfn)
 {
     checkPfn(pfn);
-    if (refcounts_[pfn] == 0)
+    Frame &f = frames_[pfn];
+    if (f.refcount == 0)
         panic("put() on free frame %llu",
               static_cast<unsigned long long>(pfn));
-    if (--refcounts_[pfn] == 0) {
+    if (--f.refcount == 0) {
         --allocated_;
         notifyFree(pfn);
-        freeLists_[nodeOf(pfn)].push_back(pfn);
+        Node &n = nodeState_[nodeOf(pfn)];
+        const auto local = static_cast<std::uint32_t>(pfn - n.base);
+        --n.blocks[local / kHugePageSpan].busy;
+        linkAbove(n, local, n.freedTop);
     }
 }
 
@@ -158,7 +256,7 @@ std::uint32_t
 FrameAllocator::refcount(Pfn pfn) const
 {
     checkPfn(pfn);
-    return refcounts_[pfn];
+    return frames_[pfn].refcount;
 }
 
 NodeId
@@ -173,7 +271,8 @@ FrameAllocator::freeFrames(NodeId node) const
 {
     if (node >= nodes_)
         panic("freeFrames of nonexistent node %u", node);
-    return freeLists_[node].size();
+    const Node &n = nodeState_[node];
+    return n.freshCount + n.freedCount;
 }
 
 } // namespace latr

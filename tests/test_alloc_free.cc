@@ -1,7 +1,7 @@
-// Proves the PR's allocation-free claim: after warmup, the engine's
+// Proves the allocation-free claim: after warmup, the engine's
 // hottest paths — EventQueue::schedule/dispatch (including pooled
-// lambdas) and Tlb insert/lookup/invalidateRange/invalidatePcid —
-// perform zero heap allocations. A replaced global operator new
+// lambdas), Tlb insert/lookup/invalidateRange/invalidatePcid/flushAll
+// and FrameAllocator alloc/put — perform zero heap allocations. A replaced global operator new
 // counts every allocation in the process; each test snapshots the
 // counter around a steady-state loop and requires a delta of zero.
 //
@@ -14,8 +14,11 @@
 #include <cstdlib>
 #include <new>
 
+#include <vector>
+
 #include "hw/tlb.hh"
 #include "machine/machine.hh"
+#include "mem/frame_allocator.hh"
 #include "serve/histogram.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -147,6 +150,74 @@ TEST(AllocFree, TlbInsertLookupInvalidateSteadyState)
     tlb.flushAll();
     EXPECT_EQ(allocsNow() - before, 0u)
         << "Tlb hot paths allocated in steady state";
+}
+
+TEST(AllocFree, TlbFlushAllSteadyState)
+{
+    // A CR3 write without PCID flushes whatever is cached — usually
+    // nothing. Neither an empty nor a full flush may allocate.
+    Tlb tlb(0, 64, 1024, 32);
+    for (Vpn v = 0; v < 2048; ++v)
+        tlb.insert(v, v, 1);
+    tlb.flushAll();
+
+    const std::uint64_t before = allocsNow();
+    for (int round = 0; round < 2000; ++round) {
+        for (Vpn v = 0; v < static_cast<Vpn>(round % 97); ++v)
+            tlb.insert(v * 3, v, 1);
+        if (round % 7 == 0)
+            tlb.insertHuge(round * kHugePageSpan, round, 1);
+        tlb.flushAll();
+        tlb.flushAll(); // empty
+    }
+    EXPECT_EQ(allocsNow() - before, 0u)
+        << "Tlb::flushAll allocated in steady state";
+    EXPECT_EQ(tlb.flushes(), 4001u);
+}
+
+TEST(AllocFree, FrameAllocPutSteadyState)
+{
+    // The fault and reclaim paths (alloc, put) and the daemon paths
+    // (allocLowest, allocHuge, putHuge), across two nodes.
+    FrameAllocator frames(2, 4 * kHugePageSpan);
+    Rng rng(0xf4a3e);
+    std::vector<Pfn> held;
+    held.reserve(2 * 4 * kHugePageSpan + 1);
+    std::vector<Pfn> huge;
+    huge.reserve(8);
+    for (int i = 0; i < 1500; ++i)
+        held.push_back(frames.alloc(i % 2));
+
+    const std::uint64_t before = allocsNow();
+    for (int i = 0; i < 200000; ++i) {
+        const std::uint64_t roll = rng.nextBounded(100);
+        const auto node = static_cast<NodeId>(rng.nextBounded(2));
+        if (roll < 45) {
+            const Pfn p = frames.alloc(node);
+            if (p != kPfnInvalid)
+                held.push_back(p);
+        } else if (roll < 47) {
+            const Pfn p = frames.allocLowest(node);
+            if (p != kPfnInvalid)
+                held.push_back(p);
+        } else if (roll < 48 && huge.size() < 8) {
+            const Pfn p = frames.allocHuge(node);
+            if (p != kPfnInvalid)
+                huge.push_back(p);
+        } else if (roll < 50 && !huge.empty()) {
+            frames.putHuge(huge.back());
+            huge.pop_back();
+        } else if (!held.empty()) {
+            const std::size_t k = rng.nextBounded(held.size());
+            frames.put(held[k]);
+            held[k] = held.back();
+            held.pop_back();
+        }
+    }
+    EXPECT_EQ(allocsNow() - before, 0u)
+        << "FrameAllocator allocated in steady state";
+    EXPECT_EQ(frames.allocatedFrames(),
+              held.size() + huge.size() * kHugePageSpan);
 }
 
 TEST(AllocFree, LazyCacheSteadyStateReadWriteLoop)

@@ -151,6 +151,45 @@ TEST(LlcCat, HitsAreUnaffectedByPartitioning)
     EXPECT_TRUE(llc.access(7, CacheAccessOrigin::LatrSweep));
 }
 
+TEST(LlcFresh, NothingIsResidentInAFreshCache)
+{
+    // An all-zero line is invalid: not even line 0 (whose tag equals
+    // the zero fill) may hit before it has been filled.
+    LlcCache llc(64 * 1024, 4, 64);
+    for (std::uint64_t l = 0; l < 4096; ++l)
+        EXPECT_FALSE(llc.probe(l)) << l;
+    EXPECT_FALSE(llc.probe(~0ULL));
+    EXPECT_FALSE(llc.access(0, CacheAccessOrigin::App));
+    EXPECT_TRUE(llc.probe(0));
+    EXPECT_TRUE(llc.access(0, CacheAccessOrigin::App));
+    EXPECT_EQ(llc.misses(CacheAccessOrigin::App), 1u);
+    EXPECT_EQ(llc.hits(CacheAccessOrigin::App), 1u);
+}
+
+TEST(LlcFresh, FirstFillsHonourTheCatPartition)
+{
+    LlcCache llc(8 * 64, 8, 64); // one set, 8 ways
+    llc.setLatrReservedWays(2);
+    // Into a fresh set: two sweep fills take the reserved ways, six
+    // app fills the rest, and nothing is evicted.
+    EXPECT_FALSE(llc.access(0, CacheAccessOrigin::LatrSweep));
+    EXPECT_FALSE(llc.access(1, CacheAccessOrigin::LatrSweep));
+    for (std::uint64_t l = 10; l < 16; ++l)
+        EXPECT_FALSE(llc.access(l, CacheAccessOrigin::App));
+    for (std::uint64_t l : {0, 1, 10, 11, 12, 13, 14, 15})
+        EXPECT_TRUE(llc.probe(l)) << l;
+    // A seventh app line evicts the LRU app line, not a sweep line.
+    llc.access(16, CacheAccessOrigin::App);
+    EXPECT_FALSE(llc.probe(10));
+    EXPECT_TRUE(llc.probe(0));
+    EXPECT_TRUE(llc.probe(1));
+    // A third sweep line evicts the LRU sweep line, not an app line.
+    llc.access(2, CacheAccessOrigin::LatrSweep);
+    EXPECT_FALSE(llc.probe(0));
+    for (std::uint64_t l = 11; l < 17; ++l)
+        EXPECT_TRUE(llc.probe(l)) << l;
+}
+
 TEST(LlcCatDeath, ReservingEveryWayIsFatal)
 {
     LlcCache llc(8 * 64, 8, 64);

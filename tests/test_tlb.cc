@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "hw/tlb.hh"
+#include "trace/trace.hh"
 
 namespace latr
 {
@@ -240,6 +243,108 @@ TEST(Tlb, FlushNotifiesEveryEntry)
     EXPECT_EQ(listener.removes, 4);
     EXPECT_TRUE(listener.live.empty());
 }
+
+/** Logs every listener event, in order, as text. */
+class LogListener : public TlbListener
+{
+  public:
+    void
+    onTlbInsert(CoreId, Vpn vpn, Pfn pfn, Pcid pcid) override
+    {
+        log.push_back("+" + std::to_string(pcid) + ":" +
+                      std::to_string(vpn) + "=" + std::to_string(pfn));
+    }
+
+    void
+    onTlbRemove(CoreId, Vpn vpn, Pfn pfn, Pcid pcid) override
+    {
+        log.push_back("-" + std::to_string(pcid) + ":" +
+                      std::to_string(vpn) + "=" + std::to_string(pfn));
+    }
+
+    std::vector<std::string> log;
+};
+
+/**
+ * Drive @p tlb through a fixed mix of inserts, huge inserts, and
+ * lookups that overflows every level; @return the lookup outcomes.
+ */
+std::vector<int>
+churn(Tlb &tlb)
+{
+    std::vector<int> outcomes;
+    for (Vpn v = 0; v < 40; ++v) {
+        tlb.insert(1000 + v * 7, 5000 + v, v % 3);
+        if (v % 4 == 0)
+            tlb.insertHuge(v * kHugePageSpan, 90000 + v, 1);
+        if (v % 5 == 0)
+            outcomes.push_back(static_cast<int>(
+                tlb.lookup(1000 + (v / 2) * 7, (v / 2) % 3)));
+    }
+    for (Vpn v = 0; v < 40; ++v)
+        outcomes.push_back(
+            static_cast<int>(tlb.lookup(1000 + v * 7, v % 3)));
+    return outcomes;
+}
+
+class TlbFlushFreshState : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(TlbFlushFreshState, FlushLeavesAFreshTlb)
+{
+    // Param: translations installed before the flush — none, a few
+    // (L1 full, L2 partly), or enough to fill every level (4 + 8
+    // base, 4 huge).
+    const unsigned fill = GetParam();
+    Tlb used(0, 4, 8, 4);
+    MirrorListener mirror;
+    used.setListener(&mirror);
+    for (Vpn v = 0; v < fill; ++v) {
+        used.insert(v, 100 + v, v % 2);
+        if (v % 3 == 0)
+            used.insertHuge((64 + v) * kHugePageSpan, 700 + v, 0);
+        used.lookup(v / 2, (v / 2) % 2); // reorder the LRU chains
+    }
+    TraceRecorder trace;
+    trace.setEnabled(true);
+    used.setTracer(&trace);
+
+    const std::size_t live = used.size();
+    ASSERT_EQ(mirror.live.size(), live);
+    const std::uint64_t seq = used.mutationSeq();
+    const int removes = mirror.removes;
+    used.flushAll();
+    // An empty flush is still a flush.
+    EXPECT_EQ(used.flushes(), 1u);
+    EXPECT_EQ(used.mutationSeq(), seq + 1);
+    EXPECT_EQ(used.size(), 0u);
+    // Listeners see exactly the live entries, each once.
+    EXPECT_EQ(mirror.removes - removes, static_cast<int>(live));
+    EXPECT_TRUE(mirror.live.empty());
+    const std::vector<TraceRecord> records = trace.snapshot();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_STREQ(records[0].name, "tlb.flush_all");
+    EXPECT_EQ(records[0].arg, live);
+    used.setTracer(nullptr);
+
+    // From here on, the flushed TLB behaves exactly like a new one:
+    // same hits, same evictions in the same LRU order.
+    Tlb fresh(0, 4, 8, 4);
+    LogListener used_log;
+    LogListener fresh_log;
+    used.setListener(&used_log);
+    fresh.setListener(&fresh_log);
+    EXPECT_EQ(churn(used), churn(fresh));
+    EXPECT_EQ(used_log.log, fresh_log.log);
+    used.flushAll();
+    fresh.flushAll();
+    EXPECT_EQ(used_log.log, fresh_log.log);
+    EXPECT_EQ(used.flushes(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fill, TlbFlushFreshState,
+                         ::testing::Values(0u, 5u, 40u));
 
 // --- LRU golden tests: written against the list+map level and
 // --- required to pass verbatim on the slot-array level.
