@@ -15,8 +15,9 @@
 using namespace latr;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::noOptions(argc, argv);
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: ring size",
                   "LATR states per core vs. fallback-IPI rate",

@@ -55,6 +55,7 @@ capturePoint(const bench::TraceOptions &trace)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const bench::TraceOptions trace =
         bench::traceOptionsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
@@ -82,8 +83,7 @@ main(int argc, char **argv)
         MunmapMicrobenchResult linuxR;
         MunmapMicrobenchResult latrR;
     };
-    bench::ParallelRunner<Point> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<Point> runner(jobs);
     for (unsigned cores : core_counts) {
         runner.submit([cores] {
             Point p;
@@ -96,8 +96,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json("Figure 6",
                            "munmap(1 page) cost vs. sharing cores");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{jobs});
     double linux16 = 0, latr16 = 0, linux16_sd = 0;
     for (const Point &p : runner.run()) {
         const MunmapMicrobenchResult &linux_r = p.linuxR;

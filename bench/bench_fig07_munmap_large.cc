@@ -34,6 +34,7 @@ runPoint(PolicyKind policy, unsigned cores)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::largeNuma8S120C();
     bench::banner("Figure 7",
                   "munmap(1 page) cost vs. cores, 8-socket machine",
@@ -56,8 +57,7 @@ main(int argc, char **argv)
         MunmapMicrobenchResult linuxR;
         MunmapMicrobenchResult latrR;
     };
-    bench::ParallelRunner<Point> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<Point> runner(jobs);
     for (unsigned cores : core_counts) {
         runner.submit([cores] {
             Point p;
@@ -70,8 +70,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json(
         "Figure 7", "munmap(1 page) cost vs. cores, 8-socket machine");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{jobs});
     double linux120 = 0, latr120 = 0, linux120_sd = 0;
     for (const Point &p : runner.run()) {
         const MunmapMicrobenchResult &linux_r = p.linuxR;

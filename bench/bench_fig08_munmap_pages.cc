@@ -36,6 +36,7 @@ runPoint(PolicyKind policy, std::uint64_t pages)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 8",
                   "munmap cost vs. page count (16 cores)", config);
@@ -55,8 +56,7 @@ main(int argc, char **argv)
         MunmapMicrobenchResult linuxR;
         MunmapMicrobenchResult latrR;
     };
-    bench::ParallelRunner<Point> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<Point> runner(jobs);
     for (std::uint64_t pages = 1; pages <= 512; pages *= 2) {
         runner.submit([pages] {
             Point p;
@@ -69,8 +69,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json("Figure 8",
                            "munmap cost vs. page count (16 cores)");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{jobs});
     double improv1 = 0, improv512 = 0;
     std::uint64_t holdback512 = 0;
     for (const Point &p : runner.run()) {

@@ -7,25 +7,16 @@
 // because a lazycache run that never overflows the ring is not
 // measuring the path this workload was built to stress.
 //
-// The LATR and Linux rows also run on the parallel batched engine
-// (`--sim-threads=N`, default 4) as lazycache_*_tN; the workload's
-// steps declare footprints, and results must be byte-identical to
-// the sequential rows — exit 3 on digest divergence.
-//
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
-// `--check-against=BASELINE.json` exits nonzero when a policy's
-// events/s drops more than --max-regression (default 0.30) below the
-// baseline — simulated time, so deterministic on one build.
+// `--check-against=BASELINE.json` exits 1 when a policy's events/s
+// drops more than --max-regression (default 0.30) below the
+// baseline — simulated time, so deterministic on one build — and 2
+// when a baseline scenario is missing from the run.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_runner.hh"
 #include "bench_util.hh"
 #include "machine/machine.hh"
 #include "tlbcoh/policy.hh"
@@ -42,51 +33,16 @@ constexpr Duration kMeasured = 200 * kMsec;
 struct CacheRow
 {
     std::string name;
-    PolicyKind kind;
-    unsigned simThreads;
     LazyCacheResult result;
 };
 
 CacheRow
 runPolicy(const std::string &name, PolicyKind kind,
-          unsigned sim_threads, bool pin, const LazyCacheConfig &cfg)
+          const LazyCacheConfig &cfg)
 {
-    MachineConfig config = MachineConfig::commodity2S16C();
-    config.simThreads = sim_threads;
-    config.pinSimThreads = pin;
-    Machine machine(config, kind);
+    Machine machine(MachineConfig::commodity2S16C(), kind);
     LazyCacheWorkload cache(machine, cfg);
-    return CacheRow{name, kind, sim_threads,
-                    cache.measure(kWarmup, kMeasured)};
-}
-
-/** (scenario, events_per_sec) rows of an earlier BENCH json. */
-std::vector<std::pair<std::string, double>>
-baselineScenarios(const std::string &path)
-{
-    std::vector<std::pair<std::string, double>> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    std::size_t at = 0;
-    while ((at = text.find("\"scenario\": \"", at)) !=
-           std::string::npos) {
-        at += 13;
-        const std::size_t end = text.find('"', at);
-        if (end == std::string::npos)
-            break;
-        const std::string name = text.substr(at, end - at);
-        const std::size_t eps = text.find("\"events_per_sec\":", end);
-        if (eps == std::string::npos)
-            break;
-        out.emplace_back(
-            name, std::strtod(text.c_str() + eps + 17, nullptr));
-        at = end;
-    }
-    return out;
+    return CacheRow{name, cache.measure(kWarmup, kMeasured)};
 }
 
 } // namespace
@@ -94,20 +50,7 @@ baselineScenarios(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string checkAgainst;
-    double maxRegression = 0.30;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--check-against=", 16) == 0)
-            checkAgainst = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--max-regression=", 17) == 0)
-            maxRegression = std::atof(argv[i] + 17);
-    }
-    if (maxRegression > 1.0)
-        maxRegression /= 100.0;
-    unsigned simThreads = bench::simThreadsFromArgs(argc, argv);
-    if (simThreads == 0)
-        simThreads = 4;
-    const bool pinSim = bench::pinSimThreadsFromArgs(argc, argv);
+    const bench::GateOptions gate = bench::gateOptionsFromArgs(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner(
@@ -135,45 +78,25 @@ main(int argc, char **argv)
                 "hit", "fb_ipis", "reclaimed");
     bench::rule();
 
-    char latrT[32], linuxT[32], abisT[32];
-    std::snprintf(latrT, sizeof latrT, "lazycache_latr_t%u",
-                  simThreads);
-    std::snprintf(linuxT, sizeof linuxT, "lazycache_linux_t%u",
-                  simThreads);
-    std::snprintf(abisT, sizeof abisT, "lazycache_abis_t%u",
-                  simThreads);
-
     std::vector<CacheRow> rows;
-    rows.push_back(runPolicy("lazycache_linux", PolicyKind::LinuxSync,
-                             0, false, scenario));
     rows.push_back(
-        runPolicy("lazycache_latr", PolicyKind::Latr, 0, false,
-                  scenario));
+        runPolicy("lazycache_linux", PolicyKind::LinuxSync, scenario));
     rows.push_back(
-        runPolicy("lazycache_abis", PolicyKind::Abis, 0, false,
-                  scenario));
+        runPolicy("lazycache_latr", PolicyKind::Latr, scenario));
+    rows.push_back(
+        runPolicy("lazycache_abis", PolicyKind::Abis, scenario));
     rows.push_back(runPolicy("lazycache_barrelfish",
-                             PolicyKind::Barrelfish, 0, false,
-                             scenario));
+                             PolicyKind::Barrelfish, scenario));
     // Sharer prediction under the densest free-then-reuse traffic in
     // the repo: MADV_FREE bursts train and stress the perceptron's
     // verify/fallback path.
     rows.push_back(runPolicy("lazycache_pred", PolicyKind::Predictive,
-                             0, false, scenario));
-    rows.push_back(runPolicy(linuxT, PolicyKind::LinuxSync,
-                             simThreads, pinSim, scenario));
-    rows.push_back(runPolicy(latrT, PolicyKind::Latr, simThreads,
-                             pinSim, scenario));
-    // The ABIS threaded row is the end-to-end check for the offloaded
-    // sharer harvest (lazycache's pressure bursts are what drive it).
-    rows.push_back(runPolicy(abisT, PolicyKind::Abis, simThreads,
-                             pinSim, scenario));
+                             scenario));
 
     bench::JsonWriter json(
         "LazyCache",
         "MADV_FREE page cache free-then-reuse throughput");
-    json.config("sim_threads", std::uint64_t{simThreads})
-        .config("cache_pages", scenario.cachePages)
+    json.config("cache_pages", scenario.cachePages)
         .config("burst_pages", scenario.burstPages)
         .config("pressure_interval_ns",
                 static_cast<std::uint64_t>(scenario.pressureInterval))
@@ -216,31 +139,6 @@ main(int argc, char **argv)
     }
     bench::rule();
 
-    // The threaded rows must digest identically to their sequential
-    // twins — the footprints on the lazycache steps are either
-    // correct or this bench refuses to report.
-    for (const CacheRow &row : rows) {
-        if (row.simThreads == 0)
-            continue;
-        for (const CacheRow &base : rows) {
-            if (base.simThreads == 0 && base.kind == row.kind &&
-                base.result.digest != row.result.digest) {
-                std::fprintf(
-                    stderr,
-                    "bench_lazycache: %s digest %016llx != %s digest "
-                    "%016llx — the parallel engine changed the "
-                    "simulation\n",
-                    row.name.c_str(),
-                    static_cast<unsigned long long>(
-                        row.result.digest),
-                    base.name.c_str(),
-                    static_cast<unsigned long long>(
-                        base.result.digest));
-                return 3;
-            }
-        }
-    }
-
     // The whole point of the scenario: pressure bursts must actually
     // overflow the ring.
     if (latrFallbacks == 0) {
@@ -259,50 +157,18 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(latrFallbacks));
     json.headline("LATR %.2fM events/s vs Linux %.2fM events/s",
                   latrEvents / 1e6, linuxEvents / 1e6);
-    json.baselineFile(checkAgainst);
+    json.baselineFile(gate.baselinePath);
     json.write(bench::jsonPathFromArgs(argc, argv));
 
-    if (!checkAgainst.empty()) {
-        const auto baseline = baselineScenarios(checkAgainst);
-        if (baseline.empty()) {
-            std::fprintf(stderr,
-                         "bench_lazycache: cannot read any scenario "
-                         "rows from baseline '%s'\n",
-                         checkAgainst.c_str());
-            return 2;
-        }
-        bool failed = false;
-        for (const auto &base : baseline) {
-            const CacheRow *measured = nullptr;
-            for (const CacheRow &row : rows)
-                if (base.first == row.name)
-                    measured = &row;
-            if (!measured) {
-                std::fprintf(
-                    stderr,
-                    "bench_lazycache: baseline scenario '%s' missing "
-                    "from this run (have:",
-                    base.first.c_str());
-                for (const CacheRow &row : rows)
-                    std::fprintf(stderr, " %s", row.name.c_str());
-                std::fprintf(stderr,
-                             "); re-run with matching --sim-threads "
-                             "or refresh the baseline\n");
-                return 2;
-            }
-            // Throughput gates downward: regression = events/s below
-            // the baseline's floor.
-            const double floor = base.second * (1.0 - maxRegression);
-            const double got = measured->result.eventsPerSec;
-            std::printf("throughput gate [%s]: %.0f events/s vs "
-                        "baseline %.0f (floor %.0f): %s\n",
-                        base.first.c_str(), got, base.second, floor,
-                        got >= floor ? "ok" : "REGRESSION");
-            if (got < floor)
-                failed = true;
-        }
-        if (failed)
-            return 1;
-    }
-    return 0;
+    if (gate.baselinePath.empty())
+        return 0;
+    // Throughput gates downward: regression = events/s below the
+    // baseline's floor.
+    std::vector<bench::ScenarioValue> measured;
+    for (const CacheRow &row : rows)
+        measured.push_back({row.name, row.result.eventsPerSec});
+    return bench::gateAgainstBaseline(
+        "bench_lazycache", gate,
+        {"throughput gate", "events_per_sec", true, 0, "events/s"},
+        measured);
 }

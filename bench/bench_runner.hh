@@ -24,62 +24,30 @@
 #include <thread>
 #include <vector>
 
+#include "sim/numeric_arg.hh"
+
 namespace latr::bench
 {
 
 /**
  * `--jobs=N` from the bench's argv. N=0 (or the flag absent) means
- * one job per hardware thread.
+ * one job per hardware thread. A malformed N exits the bench with
+ * status 2.
  */
 inline unsigned
 jobsFromArgs(int argc, char **argv)
 {
-    unsigned jobs = 0;
+    std::uint64_t jobs = 0;
     for (int i = 1; i < argc; ++i)
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            jobs = static_cast<unsigned>(std::atoi(argv[i] + 7));
+        if (std::strncmp(argv[i], "--jobs=", 7) == 0 &&
+            !parseUnsignedArg("--jobs", argv[i] + 7, 0, 4096, &jobs))
+            std::exit(2);
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
         if (jobs == 0)
             jobs = 1;
     }
-    return jobs;
-}
-
-/**
- * `--sim-threads=N` from the bench's argv: the engine-internal
- * parallel-dispatch thread count (MachineConfig::simThreads). 0 (the
- * default, and the flag absent) keeps the classic sequential engine.
- * Orthogonal to `--jobs`: jobs parallelize across independent
- * machines, sim-threads parallelize event execution inside one
- * machine — and neither may change any simulated result.
- */
-inline unsigned
-simThreadsFromArgs(int argc, char **argv)
-{
-    unsigned threads = 0;
-    for (int i = 1; i < argc; ++i)
-        if (std::strncmp(argv[i], "--sim-threads=", 14) == 0)
-            threads =
-                static_cast<unsigned>(std::atoi(argv[i] + 14));
-    return threads;
-}
-
-/**
- * `--pin-sim-threads` from the bench's argv: pin the parallel
- * engine's worker threads to host CPUs
- * (MachineConfig::pinSimThreads). Off by default so `--jobs` sweeps
- * and concurrent shards don't stack every machine's workers on the
- * same host cores; turn on for single-machine throughput runs on an
- * idle host.
- */
-inline bool
-pinSimThreadsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--pin-sim-threads") == 0)
-            return true;
-    return false;
+    return static_cast<unsigned>(jobs);
 }
 
 /**

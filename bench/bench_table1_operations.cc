@@ -41,6 +41,7 @@ const OperationRow kRows[] = {
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 1",
                   "virtual-address operations and lazy feasibility",
@@ -53,8 +54,7 @@ main(int argc, char **argv)
     // One probe machine; routed through the runner so this binary
     // accepts the same --jobs flag as the sweep benches (and stays
     // byte-identical at any job count).
-    bench::ParallelRunner<PolicyCapabilities> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<PolicyCapabilities> runner(jobs);
     runner.submit([&config] {
         Machine machine(config, PolicyKind::Latr);
         return machine.policy().capabilities();
@@ -63,8 +63,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json(
         "Table 1", "virtual-address operations and lazy feasibility");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{jobs});
     std::printf("%-12s %-16s %-34s %s\n", "class", "operation",
                 "description", "lazy?");
     bench::rule();

@@ -1,9 +1,11 @@
 /**
  * @file
- * Shared output helpers for the figure/table benches: each bench
- * prints the machine it simulates, the paper's reported anchor
- * numbers, and the measured rows, in a fixed-width layout that is
- * easy to diff across runs.
+ * Shared helpers for the benches: each bench prints the machine it
+ * simulates, the paper's reported anchor numbers, and the measured
+ * rows, in a fixed-width layout that is easy to diff across runs.
+ * Also the shared argv handling (every numeric option is checked;
+ * a malformed value exits 2) and the one baseline reader and gate
+ * behind every `--check-against=` flag.
  */
 
 #ifndef LATR_BENCH_BENCH_UTIL_HH_
@@ -14,11 +16,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "machine/machine.hh"
+#include "sim/numeric_arg.hh"
 #include "topo/machine_config.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/text_dump.hh"
@@ -107,12 +112,12 @@ gitSha()
  *     "experiment": "Figure 6",
  *     "description": "...",
  *     "headline": "...",
- *     "config": {"jobs": 4, "sim_threads": 0, ...},
+ *     "config": {"jobs": 4, "no_fastpath": 0, ...},
  *     "rows": [ {"cores": 16, "linux_us": 7.9, ...}, ... ]
  *   }
  *
  * The config object records the host-side knobs the bench ran with
- * (worker processes, engine threads, fast-path switches) so a
+ * (worker threads, fast-path switches) so a
  * BENCH_*.json is self-describing: two files can only be compared
  * when their configs match. Every document also records the git
  * commit it was built from and the baseline file it was gated
@@ -271,6 +276,21 @@ class JsonWriter
         rows_;
 };
 
+/**
+ * For benches that take no options: any argument exits 2, so a
+ * mistyped or unsupported flag (`--jobs=4` on a bench that runs its
+ * points serially) is reported instead of silently ignored.
+ */
+inline void
+noOptions(int argc, char **argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "%s takes no options (got '%s')\n", argv[0],
+                 argv[1]);
+    std::exit(2);
+}
+
 /** `--json=FILE` from the bench's argv ("" when absent). */
 inline std::string
 jsonPathFromArgs(int argc, char **argv)
@@ -316,9 +336,13 @@ traceOptionsFromArgs(int argc, char **argv)
             opts.jsonPath = v;
         else if (const char *v = value(argv[i], "--trace-text"))
             opts.textPath = v;
-        else if (const char *v = value(argv[i], "--trace-capacity"))
-            opts.capacity =
-                static_cast<std::size_t>(std::atoll(v));
+        else if (const char *v = value(argv[i], "--trace-capacity")) {
+            std::uint64_t capacity = 0;
+            if (!parseUnsignedArg("--trace-capacity", v, 0,
+                                  std::uint64_t{1} << 32, &capacity))
+                std::exit(2);
+            opts.capacity = static_cast<std::size_t>(capacity);
+        }
     }
     return opts;
 }
@@ -363,6 +387,149 @@ finishTrace(Machine &machine, const TraceOptions &opts)
         if (f != stdout)
             std::fclose(f);
     }
+}
+
+/**
+ * The regression-gate knobs shared by the gated benches:
+ * `--check-against=BASELINE.json` and `--max-regression=R`, where R
+ * is a fraction (0.30) or a percentage (30). A malformed R exits 2.
+ */
+struct GateOptions
+{
+    std::string baselinePath; ///< "" = run ungated
+    double maxRegression = 0.30;
+};
+
+inline GateOptions
+gateOptionsFromArgs(int argc, char **argv)
+{
+    GateOptions opts;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--check-against=", 16) == 0) {
+            opts.baselinePath = argv[i] + 16;
+        } else if (std::strncmp(argv[i], "--max-regression=", 17) ==
+                   0) {
+            if (!parseRealArg("--max-regression", argv[i] + 17, 0.0,
+                              100.0, &opts.maxRegression))
+                std::exit(2);
+        }
+    }
+    if (opts.maxRegression > 1.0)
+        opts.maxRegression /= 100.0;
+    return opts;
+}
+
+/** One measured or recorded row: scenario name and a field's value. */
+struct ScenarioValue
+{
+    std::string scenario;
+    double value;
+};
+
+/**
+ * Read @p field from every row of a BENCH_*.json written by an
+ * earlier run, in file order. Rows that do not carry the field are
+ * skipped; an empty result means the file was unreadable or held no
+ * such rows.
+ */
+inline std::vector<ScenarioValue>
+readBaseline(const std::string &path, const char *field)
+{
+    std::vector<ScenarioValue> out;
+    std::ifstream in(path);
+    if (!in)
+        return out;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string text = ss.str();
+    const std::string key = std::string("\"") + field + "\":";
+    std::size_t at = 0;
+    while ((at = text.find("\"scenario\": \"", at)) !=
+           std::string::npos) {
+        at += 13;
+        const std::size_t end = text.find('"', at);
+        if (end == std::string::npos)
+            break;
+        // Only this row's own field counts.
+        const std::size_t row_end = text.find('}', end);
+        const std::size_t value = text.find(key, end);
+        if (value < row_end)
+            out.push_back({text.substr(at, end - at),
+                           std::strtod(text.c_str() + value + key.size(),
+                                       nullptr)});
+        at = end;
+    }
+    return out;
+}
+
+/** What a gate compares, and which direction is a regression. */
+struct GateSpec
+{
+    const char *label;   ///< printed, e.g. "tail gate"
+    const char *field;   ///< baseline row field, e.g. "p99_us"
+    bool higherIsBetter; ///< throughput true, latency false
+    int precision;       ///< digits printed after the point
+    const char *unit;    ///< printed after the measured value
+};
+
+/**
+ * Gate @p measured against every baseline row that @p gated accepts
+ * (all rows when null): a higher-is-better value may fall at most
+ * @p opts.maxRegression below its baseline, a lower-is-better one
+ * rise at most that far above it. Prints one line per gated row.
+ *
+ * @return 0 when every gated row holds, 1 on a regression, 2 when
+ *         the baseline is unreadable or names a scenario this run
+ *         did not produce (a dropped or renamed row must not pass
+ *         silently).
+ */
+inline int
+gateAgainstBaseline(const char *tool, const GateOptions &opts,
+                    const GateSpec &spec,
+                    const std::vector<ScenarioValue> &measured,
+                    bool (*gated)(const std::string &) = nullptr)
+{
+    const std::vector<ScenarioValue> baseline =
+        readBaseline(opts.baselinePath, spec.field);
+    if (baseline.empty()) {
+        std::fprintf(stderr,
+                     "%s: cannot read any scenario rows from "
+                     "baseline '%s'\n",
+                     tool, opts.baselinePath.c_str());
+        return 2;
+    }
+    bool failed = false;
+    for (const ScenarioValue &base : baseline) {
+        if (gated && !gated(base.scenario))
+            continue;
+        const ScenarioValue *got = nullptr;
+        for (const ScenarioValue &m : measured)
+            if (m.scenario == base.scenario)
+                got = &m;
+        if (!got) {
+            std::fprintf(stderr,
+                         "%s: baseline scenario '%s' missing from "
+                         "this run (have:",
+                         tool, base.scenario.c_str());
+            for (const ScenarioValue &m : measured)
+                std::fprintf(stderr, " %s", m.scenario.c_str());
+            std::fprintf(stderr, "); refresh the baseline\n");
+            return 2;
+        }
+        const double bound =
+            spec.higherIsBetter ? base.value * (1.0 - opts.maxRegression)
+                                : base.value * (1.0 + opts.maxRegression);
+        const bool ok = spec.higherIsBetter ? got->value >= bound
+                                            : got->value <= bound;
+        std::printf("%s [%s]: %.*f %s vs baseline %.*f (%s %.*f): %s\n",
+                    spec.label, base.scenario.c_str(), spec.precision,
+                    got->value, spec.unit, spec.precision, base.value,
+                    spec.higherIsBetter ? "floor" : "ceiling",
+                    spec.precision, bound, ok ? "ok" : "REGRESSION");
+        if (!ok)
+            failed = true;
+    }
+    return failed ? 1 : 0;
 }
 
 } // namespace latr::bench

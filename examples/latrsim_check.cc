@@ -9,16 +9,17 @@
 //   latrsim_check --fuzz=50 --inject=skip-latr-sweep   # must fail
 //
 // Exit status: 0 when every run is clean and equivalent, 1 on any
-// oracle violation or cross-policy divergence, 2 on usage errors.
+// oracle violation or cross-policy divergence, 2 on usage errors
+// (including a malformed or out-of-range numeric value).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "check/executor.hh"
 #include "check/fuzzer.hh"
 #include "check/script.hh"
+#include "sim/numeric_arg.hh"
 
 using namespace latr;
 
@@ -36,7 +37,6 @@ struct Options
     int pcid = -1; // -1 = alternate (fuzz) / script header (replay)
     std::string machine = "small";
     bool noFastpath = false;
-    unsigned simThreads = 0;
     std::string outDir = ".";
     std::string tracePath;
     std::string inject;
@@ -61,9 +61,6 @@ usage(const char *argv0)
         "                    the 2x4 default or 8x15 (120 cores)\n"
         "  --no-fastpath     force the naive engine paths (tick\n"
         "                    wheel / sweep elision off)\n"
-        "  --sim-threads=N   run the parallel batched engine with N\n"
-        "                    threads (default 0: classic sequential);\n"
-        "                    results are byte-identical either way\n"
         "  --digest=N        print a stable per-(seed,policy) state\n"
         "                    digest for N generated scripts; diff the\n"
         "                    output across builds to prove a change\n"
@@ -79,7 +76,15 @@ usage(const char *argv0)
         argv0);
 }
 
-bool
+/** What parseArg() made of one argument. */
+enum class ArgStatus
+{
+    Ok,
+    Unknown,  ///< not an option: print usage, exit 2
+    BadValue, ///< malformed or out of range: already reported, exit 2
+};
+
+ArgStatus
 parseArg(Options &opts, const char *arg, const char *next,
          bool *consumed_next)
 {
@@ -96,65 +101,59 @@ parseArg(Options &opts, const char *arg, const char *next,
         }
         return nullptr;
     };
-    if (std::strcmp(arg, "--keep-going") == 0) {
-        opts.keepGoing = true;
-        return true;
-    }
-    if (std::strcmp(arg, "--no-fastpath") == 0) {
-        opts.noFastpath = true;
-        return true;
-    }
-    if (const char *v = value("--sim-threads")) {
-        opts.simThreads =
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        return true;
-    }
-    if (const char *v = value("--fuzz")) {
-        opts.fuzz = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        return true;
-    }
-    if (const char *v = value("--digest")) {
-        opts.digest =
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        return true;
-    }
-    if (const char *v = value("--machine")) {
-        opts.machine = v;
-        return true;
-    }
-    if (const char *v = value("--replay")) {
-        opts.replayPath = v;
-        return true;
-    }
-    if (const char *v = value("--policy")) {
-        opts.policy = v;
-        return true;
-    }
-    if (const char *v = value("--seed")) {
-        opts.seed = std::strtoull(v, nullptr, 10);
-        return true;
-    }
-    if (const char *v = value("--ops")) {
-        opts.ops = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        return true;
+    // Numeric options: name, accepted range, destination.
+    struct UnsignedOpt
+    {
+        const char *key;
+        std::uint64_t lo, hi;
+        std::uint64_t *u64;
+        unsigned *u32;
+    };
+    const UnsignedOpt unsignedOpts[] = {
+        {"--fuzz", 0, std::uint64_t{1} << 30, nullptr, &opts.fuzz},
+        {"--digest", 0, std::uint64_t{1} << 30, nullptr, &opts.digest},
+        {"--seed", 0, ~std::uint64_t{0}, &opts.seed, nullptr},
+        {"--ops", 1, std::uint64_t{1} << 20, nullptr, &opts.ops},
+    };
+    for (const UnsignedOpt &o : unsignedOpts) {
+        const char *v = value(o.key);
+        if (!v)
+            continue;
+        std::uint64_t parsed = 0;
+        if (!parseUnsignedArg(o.key, v, o.lo, o.hi, &parsed))
+            return ArgStatus::BadValue;
+        if (o.u64)
+            *o.u64 = parsed;
+        else
+            *o.u32 = static_cast<unsigned>(parsed);
+        return ArgStatus::Ok;
     }
     if (const char *v = value("--pcid")) {
-        opts.pcid = std::atoi(v) != 0 ? 1 : 0;
-        return true;
+        std::uint64_t on = 0;
+        if (!parseUnsignedArg("--pcid", v, 0, 1, &on))
+            return ArgStatus::BadValue;
+        opts.pcid = static_cast<int>(on);
+        return ArgStatus::Ok;
     }
-    if (const char *v = value("--out")) {
+    if (std::strcmp(arg, "--keep-going") == 0)
+        opts.keepGoing = true;
+    else if (std::strcmp(arg, "--no-fastpath") == 0)
+        opts.noFastpath = true;
+    else if (const char *v = value("--machine"))
+        opts.machine = v;
+    else if (const char *v = value("--replay"))
+        opts.replayPath = v;
+    else if (const char *v = value("--policy"))
+        opts.policy = v;
+    else if (const char *v = value("--out"))
         opts.outDir = v;
-        return true;
-    }
-    if (const char *v = value("--trace")) {
+    else if (const char *v = value("--trace"))
         opts.tracePath = v;
-        return true;
-    }
-    if (const char *v = value("--inject")) {
+    else if (const char *v = value("--inject"))
         opts.inject = v;
-        return true;
-    }
-    return false;
+    else
+        return ArgStatus::Unknown;
+    return ArgStatus::Ok;
 }
 
 bool
@@ -343,7 +342,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         bool consumed_next = false;
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (!parseArg(opts, argv[i], next, &consumed_next)) {
+        const ArgStatus status =
+            parseArg(opts, argv[i], next, &consumed_next);
+        if (status == ArgStatus::BadValue)
+            return 2;
+        if (status == ArgStatus::Unknown) {
             std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
             usage(argv[0]);
             return 2;
@@ -365,7 +368,6 @@ main(int argc, char **argv)
 
     ExecOptions exec;
     exec.noFastpath = opts.noFastpath;
-    exec.simThreads = opts.simThreads;
     if (!opts.inject.empty()) {
         if (opts.inject == "skip-latr-sweep") {
             exec.injectSkipLatrSweep = true;

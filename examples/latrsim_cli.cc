@@ -14,11 +14,7 @@
 // --stats. An unknown option or workload exits 1 after the usage
 // text; a malformed or out-of-range numeric value exits 2.
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -26,6 +22,7 @@
 #include "serve/latrace.hh"
 #include "serve/serve.hh"
 #include "sim/logging.hh"
+#include "sim/numeric_arg.hh"
 #include "machine/machine_stats.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/text_dump.hh"
@@ -63,7 +60,6 @@ struct Options
     std::uint64_t users = 0;    // 0 = ServeConfig default
     Duration churnInterval = kTickNever; // kTickNever = default
     std::uint64_t seed = 1;
-    unsigned simThreads = 0;
     std::string recordPath; // write the generated .latrace here
     std::string replayPath; // replay this .latrace instead
     double rateScale = 0.0; // 0/1 = no replay rate transform
@@ -103,7 +99,6 @@ usage(const char *argv0)
         "  --users=N           (simulated user population)\n"
         "  --churn-interval=N  (ns between tenant exits; 0 = off)\n"
         "  --seed=N            (arrival-stream RNG seed)\n"
-        "  --sim-threads=N     (parallel engine worker threads)\n"
         "  --record=FILE       (save the generated .latrace)\n"
         "  --replay=FILE       (replay FILE instead of generating;\n"
         "                       byte-identical results per policy)\n"
@@ -128,41 +123,6 @@ enum class ArgStatus
     Unknown,  ///< not an option: print usage, exit 1
     BadValue, ///< malformed or out of range: already reported, exit 2
 };
-
-/**
- * Parse @p text as a decimal integer in [lo, hi]. The whole string
- * must be digits: no sign, no whitespace, no trailing text.
- */
-bool
-parseUnsigned(const char *text, std::uint64_t lo, std::uint64_t hi,
-              std::uint64_t *out)
-{
-    if (*text < '0' || *text > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Parse @p text as a finite number in [lo, hi], nothing trailing. */
-bool
-parseReal(const char *text, double lo, double hi, double *out)
-{
-    if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(text, &end);
-    if (errno != 0 || *end != '\0' || !std::isfinite(v) || v < lo ||
-        v > hi)
-        return false;
-    *out = v;
-    return true;
-}
 
 ArgStatus
 parseArg(Options &opts, const char *arg)
@@ -199,7 +159,6 @@ parseArg(Options &opts, const char *arg)
         {"--users", 0, std::uint64_t{1} << 32, &opts.users, nullptr},
         {"--churn-interval", 0, kMaxTicks, &opts.churnInterval, nullptr},
         {"--seed", 0, ~std::uint64_t{0}, &opts.seed, nullptr},
-        {"--sim-threads", 0, 256, nullptr, &opts.simThreads},
         {"--trace-capacity", 0, std::uint64_t{1} << 32,
          &opts.traceCapacity, nullptr},
     };
@@ -219,14 +178,8 @@ parseArg(Options &opts, const char *arg)
         if (!v)
             continue;
         std::uint64_t parsed = 0;
-        if (!parseUnsigned(v, o.lo, o.hi, &parsed)) {
-            std::fprintf(stderr,
-                         "bad value '%s' for %s: want an integer in "
-                         "[%llu, %llu]\n",
-                         v, o.key, static_cast<unsigned long long>(o.lo),
-                         static_cast<unsigned long long>(o.hi));
+        if (!parseUnsignedArg(o.key, v, o.lo, o.hi, &parsed))
             return ArgStatus::BadValue;
-        }
         if (o.u64)
             *o.u64 = parsed;
         else
@@ -237,13 +190,8 @@ parseArg(Options &opts, const char *arg)
         const char *v = value(o.key);
         if (!v)
             continue;
-        if (!parseReal(v, o.lo, o.hi, o.out)) {
-            std::fprintf(stderr,
-                         "bad value '%s' for %s: want a number in "
-                         "[%g, %g]\n",
-                         v, o.key, o.lo, o.hi);
+        if (!parseRealArg(o.key, v, o.lo, o.hi, o.out))
             return ArgStatus::BadValue;
-        }
         return ArgStatus::Ok;
     }
     if (const char *v = value("--workload")) {
@@ -316,7 +264,6 @@ main(int argc, char **argv)
 
     MachineConfig config = machineOf(opts.machine);
     config.noFastpath = opts.noFastpath;
-    config.simThreads = opts.simThreads;
     Machine machine(config, policyOf(opts.policy));
     if (!opts.tracePath.empty() || !opts.traceTextPath.empty()) {
         if (opts.traceCapacity != 0)

@@ -4,11 +4,13 @@
 // server stops scaling. Run it under any two policies and compare.
 //
 //   $ ./webserver [workers] (default 12)
+//
+// A workers value that is not an integer in 1..16 exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "machine/machine.hh"
+#include "sim/numeric_arg.hh"
 #include "workload/webserver.hh"
 
 using namespace latr;
@@ -16,13 +18,11 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    unsigned workers = 12;
-    if (argc > 1)
-        workers = static_cast<unsigned>(std::atoi(argv[1]));
-    if (workers == 0 || workers > 16) {
-        std::fprintf(stderr, "usage: %s [workers 1..16]\n", argv[0]);
-        return 1;
-    }
+    std::uint64_t workers_arg = 12;
+    if (argc > 1 && !parseUnsignedArg("workers", argv[1], 1, 16,
+                                      &workers_arg))
+        return 2;
+    const unsigned workers = static_cast<unsigned>(workers_arg);
 
     std::printf("Apache-style webserver, %u workers, 10 KB static "
                 "page per request\n\n",

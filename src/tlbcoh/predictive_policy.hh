@@ -10,9 +10,8 @@
  * the op returns after the predicted shootdown, like Linux but with
  * a smaller fan-out. Frames and the virtual range are *not* released
  * yet: a pooled VerifyEvent fires one scheduler epoch later, probes
- * every candidate's TLB for the freed (vpn → pfn) translations
- * (read-only, offloadable to a compute() lane and validated per core
- * by Tlb::mutationSeq()), and either confirms the prediction —
+ * every candidate's TLB for the freed (vpn → pfn) translations,
+ * and either confirms the prediction —
  * releasing frames and VA, training the predictor positive — or
  * detects a stale hit, issues the full-mask fallback shootdown, and
  * trains on the miss. Correctness therefore never depends on
@@ -57,16 +56,13 @@ class PredictivePolicy : public TlbCoherencePolicy
     /**
      * One deferred verification pass: probe every candidate core's
      * TLB for the op's freed translations, confirm or fall back.
-     * Pooled and reused (freeVerifyEvents_), like LatrPolicy's
-     * ReclaimPassEvent and IpiFabric's DeliveryEvent.
+     * Pooled and reused (freeVerifyEvents_), like IpiFabric's
+     * DeliveryEvent.
      */
     class VerifyEvent : public Event
     {
       public:
         void process() override;
-        bool footprint(EventFootprint &fp) const override;
-        void compute() override;
-        unsigned computeWeight() const override;
         const char *name() const override { return "pred.verify"; }
 
       private:
@@ -89,18 +85,11 @@ class PredictivePolicy : public TlbCoherencePolicy
         CpuMask ackSharers;
         SharerFeatures features;
         CoreId owner = 0;
-
-        // compute() scratch, validated at commit per candidate by
-        // the mutationSeq snapshot (DESIGN.md §8.4).
-        bool planValid = false;
-        CpuMask planStale;
-        std::vector<std::uint64_t> planSeqs;
     };
 
     /** Probe @p core for any of @p ev's freed translations. */
     bool coreHoldsStale(CoreId core, const VerifyEvent *ev) const;
 
-    void planVerify(VerifyEvent *ev);
     void runVerify(VerifyEvent *ev);
     void scheduleVerify(VerifyEvent *ev, Tick at);
     VerifyEvent *acquireVerifyEvent();

@@ -2,7 +2,7 @@
 #
 #   cmake -DCMD="prog;--flag=value" -DEXPECT=2 -P cli_expect_exit.cmake
 #
-# Used by the latrsim_cli argument tests: a malformed numeric option
+# Used by the command-line argument tests: a malformed numeric option
 # must stop the tool with status 2 before any simulation runs.
 execute_process(COMMAND ${CMD}
                 RESULT_VARIABLE status

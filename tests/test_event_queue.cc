@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -282,6 +283,32 @@ TEST(EventQueue, ManySequentialLambdasRunInOrder)
     ASSERT_EQ(log.size(), 256u);
     for (int i = 0; i < 256; ++i)
         EXPECT_EQ(log[i], i);
+}
+
+TEST(EventQueue, FinishedLambdasReturnToThePool)
+{
+    // Every wrapper that ran is parked for reuse, with its captured
+    // state released as soon as the callback returned; the next
+    // round of scheduleLambda() takes the parked wrappers back.
+    constexpr int kLambdas = 24;
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    int ran = 0;
+    for (int i = 0; i < kLambdas; ++i)
+        q.scheduleLambda(10, [&ran, token]() { ++ran; });
+    EXPECT_EQ(token.use_count(), kLambdas + 1);
+    EXPECT_EQ(q.lambdaPoolSize(), 0u);
+    q.run();
+    EXPECT_EQ(ran, kLambdas);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(q.lambdaPoolSize(), static_cast<std::size_t>(kLambdas));
+
+    for (int i = 0; i < kLambdas; ++i)
+        q.scheduleLambda(20, [&ran]() { ++ran; });
+    EXPECT_EQ(q.lambdaPoolSize(), 0u);
+    q.run();
+    EXPECT_EQ(ran, 2 * kLambdas);
+    EXPECT_EQ(q.lambdaPoolSize(), static_cast<std::size_t>(kLambdas));
 }
 
 TEST(EventQueue, LambdaScheduledFromLambdaRuns)

@@ -312,12 +312,10 @@ TEST_P(TlbFlushFreshState, FlushLeavesAFreshTlb)
 
     const std::size_t live = used.size();
     ASSERT_EQ(mirror.live.size(), live);
-    const std::uint64_t seq = used.mutationSeq();
     const int removes = mirror.removes;
     used.flushAll();
     // An empty flush is still a flush.
     EXPECT_EQ(used.flushes(), 1u);
-    EXPECT_EQ(used.mutationSeq(), seq + 1);
     EXPECT_EQ(used.size(), 0u);
     // Listeners see exactly the live entries, each once.
     EXPECT_EQ(mirror.removes - removes, static_cast<int>(live));
