@@ -18,7 +18,7 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    bench::noOptions(argc, argv);
+    bench::acceptOptions(argc, argv);
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: reclamation delay",
                   "why LATR waits two tick periods before reuse",

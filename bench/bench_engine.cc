@@ -16,9 +16,9 @@
 //                  flood the LATR state rings with AutoNUMA samples
 //                  and munmaps while a hundred oversubscribed cores
 //                  tick, sweep, and periodically take a machine-wide
-//                  synchronous shootdown. The scenario the tick
-//                  wheel, the sweep-elision mask, the flat sharer
-//                  map, and the sharer perceptron exist for. The
+//                  synchronous shootdown. The scenario the
+//                  sweep-elision mask, the flat sharer map, and the
+//                  sharer perceptron exist for. The
 //                  per-policy `coh.remote_interrupts` counts feed a
 //                  hard gate: Predictive must deliver >= 40% fewer
 //                  IPIs than full-mask LATR (exit 4 otherwise).
@@ -29,8 +29,6 @@
 // machine scenario regresses more than --max-regression (default
 // 0.30) below the baseline, and 2 when a baseline scenario is
 // missing from the run — the CI perf-smoke gate.
-// `--no-fastpath` runs the machine scenarios on the naive engine
-// paths, quantifying what the fast paths buy.
 //
 // Machine construction is reported on its own, ungated rows
 // (construct_2s16c, construct_8s120c: median construct_ms over
@@ -204,15 +202,13 @@ runTlbChurn()
 }
 
 ScenarioResult
-runMunmapStorm(bool no_fastpath)
+runMunmapStorm()
 {
     std::uint64_t events = 0;
     double wall = 0;
     for (PolicyKind policy :
          {PolicyKind::LinuxSync, PolicyKind::Latr}) {
-        MachineConfig config = MachineConfig::commodity2S16C();
-        config.noFastpath = no_fastpath;
-        Machine machine(config, policy);
+        Machine machine(MachineConfig::commodity2S16C(), policy);
         MunmapMicrobenchConfig cfg;
         cfg.sharingCores = 16;
         cfg.pages = 4;
@@ -239,8 +235,7 @@ runMunmapStorm(bool no_fastpath)
  * context switches sweep twice per millisecond and match *nothing*:
  * exactly the scans the sweep-elision mask removes. Every eighth
  * iteration a sync munmap from a global task IPIs the whole 100-core
- * residency mask (the word-at-a-time fan-out path). The simulated
- * result must not change either way.
+ * residency mask (the word-at-a-time fan-out path).
  *
  * The scenario now also runs under the Predictive policy: the same
  * wide residency masks are the sharer-prediction target — after a
@@ -250,7 +245,7 @@ runMunmapStorm(bool no_fastpath)
  * >= 40%-fewer-IPIs gate in main().
  */
 ScenarioResult
-runBigMachine(bool no_fastpath, BigMachineCounters *counters)
+runBigMachine(BigMachineCounters *counters)
 {
     constexpr unsigned kPublishers = 20;
     constexpr unsigned kIterations = 400;
@@ -263,7 +258,6 @@ runBigMachine(bool no_fastpath, BigMachineCounters *counters)
     for (PolicyKind policy : {PolicyKind::Latr, PolicyKind::Abis,
                               PolicyKind::Predictive}) {
         MachineConfig config = MachineConfig::largeNuma8S120C();
-        config.noFastpath = no_fastpath;
         // Tagged TLBs: context switches on the oversubscribed cores
         // must not flush residency, or the global mm's mask (and the
         // wide shootdown) degenerates.
@@ -392,11 +386,10 @@ measureConstruction(const char *name, const MachineConfig &config)
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv,
+                         {"--json=", "--check-against=",
+                          "--max-regression="});
     const bench::GateOptions gate = bench::gateOptionsFromArgs(argc, argv);
-    bool noFastpath = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--no-fastpath") == 0)
-            noFastpath = true;
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Engine", "simulation-engine throughput", config);
@@ -409,8 +402,7 @@ main(int argc, char **argv)
     bench::rule();
 
     bench::JsonWriter json("Engine", "simulation-engine throughput");
-    json.config("no_fastpath", std::uint64_t{noFastpath ? 1u : 0u})
-        .config("host_cpus",
+    json.config("host_cpus",
                 std::uint64_t{std::thread::hardware_concurrency()})
         .config("jobs", std::uint64_t{1});
 
@@ -418,8 +410,8 @@ main(int argc, char **argv)
     BigMachineCounters big;
     results.push_back(runEventChurn());
     results.push_back(runTlbChurn());
-    results.push_back(runMunmapStorm(noFastpath));
-    results.push_back(runBigMachine(noFastpath, &big));
+    results.push_back(runMunmapStorm());
+    results.push_back(runBigMachine(&big));
 
     double stormEps = 0;
     double bigEps = 0;
@@ -507,7 +499,8 @@ main(int argc, char **argv)
         "pred IPI fan-out -%.1f%% vs LATR",
         stormEps, bigEps, 100.0 * big.reductionVsLatr());
     json.baselineFile(gate.baselinePath);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
 
     if (gate.baselinePath.empty())
         return 0;

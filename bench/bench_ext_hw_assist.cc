@@ -54,7 +54,7 @@ runCase(Assist assist)
 int
 main(int argc, char **argv)
 {
-    bench::noOptions(argc, argv);
+    bench::acceptOptions(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Extension: hardware assists for LATR",
                   "CAT-partitioned states and scratchpad states",

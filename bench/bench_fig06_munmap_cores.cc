@@ -32,9 +32,10 @@ runPoint(PolicyKind policy, unsigned cores)
  * no inter-iteration gap so the state ring also exercises its
  * IPI-fallback path — the full lifecycle (munmap, state save, sweep,
  * fallback IPIs, reclamation) lands in one timeline. The measured
- * table above is untouched.
+ * table above is untouched. Returns false if a trace file could not
+ * be written.
  */
-void
+bool
 capturePoint(const bench::TraceOptions &trace)
 {
     Machine machine(MachineConfig::commodity2S16C(),
@@ -47,7 +48,7 @@ capturePoint(const bench::TraceOptions &trace)
     cfg.warmupIterations = 0;
     cfg.interIterationGap = 0;
     runMunmapMicrobench(machine, cfg);
-    bench::finishTrace(machine, trace);
+    return bench::finishTrace(machine, trace);
 }
 
 } // namespace
@@ -55,6 +56,9 @@ capturePoint(const bench::TraceOptions &trace)
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv,
+                         {"--jobs=", "--json=", "--trace=",
+                          "--trace-text=", "--trace-capacity="});
     const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const bench::TraceOptions trace =
         bench::traceOptionsFromArgs(argc, argv);
@@ -134,8 +138,9 @@ main(int argc, char **argv)
         "at 16 cores: Linux %.2f us, LATR %.2f us, improvement %.1f%%",
         bench::us(linux16), bench::us(latr16),
         100.0 * (linux16 - latr16) / linux16);
-    json.write(bench::jsonPathFromArgs(argc, argv));
-    if (trace.wanted())
-        capturePoint(trace);
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
+    if (trace.wanted() && !capturePoint(trace))
+        return 1;
     return 0;
 }

@@ -34,6 +34,7 @@ runPoint(PolicyKind policy, unsigned cores)
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv, {"--jobs=", "--json="});
     const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::largeNuma8S120C();
     bench::banner("Figure 7",
@@ -110,6 +111,7 @@ main(int argc, char **argv)
         "%.1f%%",
         bench::us(linux120), bench::us(latr120),
         100.0 * (linux120 - latr120) / linux120);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
     return 0;
 }

@@ -36,6 +36,7 @@ runPoint(PolicyKind policy, std::uint64_t pages)
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv, {"--jobs=", "--json="});
     const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 8",
@@ -109,6 +110,7 @@ main(int argc, char **argv)
     json.headline(
         "improvement %.1f%% at 1 page -> %.1f%% at 512 pages",
         improv1, improv512);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
     return 0;
 }

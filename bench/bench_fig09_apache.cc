@@ -32,7 +32,7 @@ runPoint(PolicyKind policy, unsigned workers)
 int
 main(int argc, char **argv)
 {
-    bench::noOptions(argc, argv);
+    bench::acceptOptions(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 9 (and Figure 1)",
                   "Apache requests/s and shootdowns/s vs. cores",

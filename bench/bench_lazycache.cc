@@ -50,6 +50,9 @@ runPolicy(const std::string &name, PolicyKind kind,
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv,
+                         {"--json=", "--check-against=",
+                          "--max-regression="});
     const bench::GateOptions gate = bench::gateOptionsFromArgs(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
@@ -158,7 +161,8 @@ main(int argc, char **argv)
     json.headline("LATR %.2fM events/s vs Linux %.2fM events/s",
                   latrEvents / 1e6, linuxEvents / 1e6);
     json.baselineFile(gate.baselinePath);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
 
     if (gate.baselinePath.empty())
         return 0;

@@ -60,6 +60,9 @@ runPolicy(const std::string &name, PolicyKind kind,
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv,
+                         {"--json=", "--check-against=",
+                          "--max-regression=", "--per-tenant"});
     const bench::GateOptions gate = bench::gateOptionsFromArgs(argc, argv);
     ServeOptions serveOptions;
     for (int i = 1; i < argc; ++i)
@@ -173,7 +176,8 @@ main(int argc, char **argv)
         predP99,
         latrP99 > 0 ? 100.0 * (predP99 - latrP99) / latrP99 : 0.0);
     json.baselineFile(gate.baselinePath);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
 
     if (gate.baselinePath.empty())
         return 0;

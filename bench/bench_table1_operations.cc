@@ -41,6 +41,7 @@ const OperationRow kRows[] = {
 int
 main(int argc, char **argv)
 {
+    bench::acceptOptions(argc, argv, {"--jobs=", "--json="});
     const unsigned jobs = bench::jobsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 1",
@@ -93,6 +94,7 @@ main(int argc, char **argv)
         consistent ? "yes" : "NO (bug)");
     json.headline("LatrPolicy capabilities agree with the table: %s",
                   consistent ? "yes" : "NO (bug)");
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    if (!json.write(bench::jsonPathFromArgs(argc, argv)))
+        return 1;
     return consistent ? 0 : 1;
 }

@@ -3,9 +3,9 @@
  * Shared helpers for the benches: each bench prints the machine it
  * simulates, the paper's reported anchor numbers, and the measured
  * rows, in a fixed-width layout that is easy to diff across runs.
- * Also the shared argv handling (every numeric option is checked;
- * a malformed value exits 2) and the one baseline reader and gate
- * behind every `--check-against=` flag.
+ * Also the shared argv handling (an unknown option or a malformed
+ * numeric value exits 2) and the one baseline reader and gate behind
+ * every `--check-against=` flag.
  */
 
 #ifndef LATR_BENCH_BENCH_UTIL_HH_
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -25,8 +26,7 @@
 #include "machine/machine.hh"
 #include "sim/numeric_arg.hh"
 #include "topo/machine_config.hh"
-#include "trace/chrome_trace.hh"
-#include "trace/text_dump.hh"
+#include "trace/trace_files.hh"
 
 namespace latr::bench
 {
@@ -112,17 +112,16 @@ gitSha()
  *     "experiment": "Figure 6",
  *     "description": "...",
  *     "headline": "...",
- *     "config": {"jobs": 4, "no_fastpath": 0, ...},
+ *     "config": {"jobs": 4, "git_sha": "...", ...},
  *     "rows": [ {"cores": 16, "linux_us": 7.9, ...}, ... ]
  *   }
  *
  * The config object records the host-side knobs the bench ran with
- * (worker threads, fast-path switches) so a
- * BENCH_*.json is self-describing: two files can only be compared
- * when their configs match. Every document also records the git
- * commit it was built from and the baseline file it was gated
- * against (see baselineFile()) — the two provenance fields that
- * turn a stray BENCH_*.json back into a reproducible data point.
+ * (worker threads) so a BENCH_*.json is self-describing: two files
+ * can only be compared when their configs match. Every document also
+ * records the git commit it was built from and the baseline file it
+ * was gated against (see baselineFile()) — the two provenance fields
+ * that turn a stray BENCH_*.json back into a reproducible data point.
  */
 class JsonWriter
 {
@@ -209,7 +208,11 @@ class JsonWriter
         headline_ = buf;
     }
 
-    /** Write the document; no-op when @p path is empty. */
+    /**
+     * Write the document; no-op when @p path is empty.
+     * @return false (reported on stderr) when the file could not be
+     *         written; the bench then exits 1.
+     */
     bool
     write(const std::string &path) const
     {
@@ -246,7 +249,11 @@ class JsonWriter
             std::fprintf(f, "}");
         }
         std::fprintf(f, "\n  ]\n}\n");
-        std::fclose(f);
+        if (std::fclose(f) != 0) {
+            std::fprintf(stderr, "json: cannot write '%s'\n",
+                         path.c_str());
+            return false;
+        }
         return true;
     }
 
@@ -277,18 +284,34 @@ class JsonWriter
 };
 
 /**
- * For benches that take no options: any argument exits 2, so a
- * mistyped or unsupported flag (`--jobs=4` on a bench that runs its
- * points serially) is reported instead of silently ignored.
+ * Accept only @p accepted options: an entry ending in '=' takes a
+ * value (`"--jobs="` matches `--jobs=4`), any other must match
+ * exactly (`"--per-tenant"`). Anything else exits 2, so a mistyped,
+ * retired or unsupported flag is reported instead of silently
+ * ignored. An empty list is a bench that takes no options.
  */
 inline void
-noOptions(int argc, char **argv)
+acceptOptions(int argc, char **argv,
+              std::initializer_list<const char *> accepted = {})
 {
-    if (argc <= 1)
-        return;
-    std::fprintf(stderr, "%s takes no options (got '%s')\n", argv[0],
-                 argv[1]);
-    std::exit(2);
+    for (int i = 1; i < argc; ++i) {
+        bool known = false;
+        for (const char *opt : accepted) {
+            const std::size_t n = std::strlen(opt);
+            known = known || (opt[n - 1] == '='
+                                  ? std::strncmp(argv[i], opt, n) == 0
+                                  : std::strcmp(argv[i], opt) == 0);
+        }
+        if (known)
+            continue;
+        if (accepted.size() == 0)
+            std::fprintf(stderr, "%s takes no options (got '%s')\n",
+                         argv[0], argv[i]);
+        else
+            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
+                         argv[i]);
+        std::exit(2);
+    }
 }
 
 /** `--json=FILE` from the bench's argv ("" when absent). */
@@ -358,35 +381,15 @@ applyTrace(Machine &machine, const TraceOptions &opts)
     machine.trace().setEnabled(true);
 }
 
-/** Write the armed machine's trace to the requested files. */
-inline void
+/**
+ * Write the armed machine's trace to the requested files.
+ * @return false if a requested file could not be written.
+ */
+inline bool
 finishTrace(Machine &machine, const TraceOptions &opts)
 {
-    if (!opts.jsonPath.empty()) {
-        if (writeChromeTraceFile(machine.trace(), &machine.topo(),
-                                 opts.jsonPath))
-            std::fprintf(stderr, "trace: %llu records -> %s\n",
-                         static_cast<unsigned long long>(
-                             machine.trace().size()),
-                         opts.jsonPath.c_str());
-        else
-            std::fprintf(stderr, "trace: cannot write '%s'\n",
-                         opts.jsonPath.c_str());
-    }
-    if (!opts.textPath.empty()) {
-        TextDumpOptions text;
-        std::FILE *f = opts.textPath == "-"
-                           ? stdout
-                           : std::fopen(opts.textPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "trace: cannot write '%s'\n",
-                         opts.textPath.c_str());
-            return;
-        }
-        writeTextTimeline(machine.trace(), text, f);
-        if (f != stdout)
-            std::fclose(f);
-    }
+    return writeTraceFiles(machine.trace(), &machine.topo(),
+                           opts.jsonPath, opts.textPath);
 }
 
 /**

@@ -36,7 +36,6 @@ struct Options
     unsigned ops = 400;
     int pcid = -1; // -1 = alternate (fuzz) / script header (replay)
     std::string machine = "small";
-    bool noFastpath = false;
     std::string outDir = ".";
     std::string tracePath;
     std::string inject;
@@ -59,8 +58,6 @@ usage(const char *argv0)
         "  --pcid=0|1        force PCIDs off/on (default: alternate)\n"
         "  --machine=small|large  topology for generated scripts:\n"
         "                    the 2x4 default or 8x15 (120 cores)\n"
-        "  --no-fastpath     force the naive engine paths (tick\n"
-        "                    wheel / sweep elision off)\n"
         "  --digest=N        print a stable per-(seed,policy) state\n"
         "                    digest for N generated scripts; diff the\n"
         "                    output across builds to prove a change\n"
@@ -137,8 +134,6 @@ parseArg(Options &opts, const char *arg, const char *next,
     }
     if (std::strcmp(arg, "--keep-going") == 0)
         opts.keepGoing = true;
-    else if (std::strcmp(arg, "--no-fastpath") == 0)
-        opts.noFastpath = true;
     else if (const char *v = value("--machine"))
         opts.machine = v;
     else if (const char *v = value("--replay"))
@@ -194,10 +189,7 @@ replay(const Options &opts, const ExecOptions &exec)
             return 2;
         }
         ExecOptions one = exec;
-        if (!opts.tracePath.empty()) {
-            one.trace = true;
-            one.tracePath = opts.tracePath;
-        }
+        one.tracePath = opts.tracePath;
         RunResult run = runScript(script, kind, one);
         std::printf("%s: %llu staleness, %llu invariant violations\n",
                     policyKindName(kind),
@@ -229,8 +221,8 @@ replay(const Options &opts, const ExecOptions &exec)
 /**
  * Print one stable line per (seed, policy): a digest of the final
  * architectural state plus the oracle verdicts. Byte-comparing this
- * output between two builds (or between --no-fastpath and the
- * default) proves an engine change simulation-transparent.
+ * output between two builds (tests/golden/ pins the committed one)
+ * proves an engine change simulation-transparent.
  */
 int
 digest(const Options &opts, const ExecOptions &exec)
@@ -244,32 +236,13 @@ digest(const Options &opts, const ExecOptions &exec)
         const Script script = generateScript(seed, gen);
         for (PolicyKind kind : allPolicyKinds()) {
             const RunResult run = runScript(script, kind, exec);
-            // FNV-1a over every digested field, regions in slot
-            // order: one stable 64-bit fingerprint per run.
-            std::uint64_t h = 1469598103934665603ULL;
-            auto mix = [&h](std::uint64_t v) {
-                for (unsigned b = 0; b < 8; ++b) {
-                    h ^= (v >> (b * 8)) & 0xff;
-                    h *= 1099511628211ULL;
-                }
-            };
-            for (const auto &region : run.regionSig) {
-                mix(region.first);
-                for (char c : region.second) {
-                    h ^= static_cast<unsigned char>(c);
-                    h *= 1099511628211ULL;
-                }
-            }
-            for (std::uint64_t present : run.mmPresentPages)
-                mix(present);
-            mix(run.allocatedFrames);
-            mix(run.heldBackBytes);
             std::printf("seed=%llu policy=%s pcid=%d machine=%s "
                         "state=%016llx staleness=%llu invariant=%llu\n",
                         static_cast<unsigned long long>(seed),
                         policyKindName(kind), gen.pcid ? 1 : 0,
                         opts.machine.c_str(),
-                        static_cast<unsigned long long>(h),
+                        static_cast<unsigned long long>(
+                            stateDigest(run)),
                         static_cast<unsigned long long>(
                             run.stalenessViolations),
                         static_cast<unsigned long long>(
@@ -367,7 +340,6 @@ main(int argc, char **argv)
     }
 
     ExecOptions exec;
-    exec.noFastpath = opts.noFastpath;
     if (!opts.inject.empty()) {
         if (opts.inject == "skip-latr-sweep") {
             exec.injectSkipLatrSweep = true;

@@ -24,8 +24,7 @@
 #include "sim/logging.hh"
 #include "sim/numeric_arg.hh"
 #include "machine/machine_stats.hh"
-#include "trace/chrome_trace.hh"
-#include "trace/text_dump.hh"
+#include "trace/trace_files.hh"
 #include "workload/lazycache.hh"
 #include "workload/microbench.hh"
 #include "workload/numabench.hh"
@@ -63,7 +62,6 @@ struct Options
     std::string recordPath; // write the generated .latrace here
     std::string replayPath; // replay this .latrace instead
     double rateScale = 0.0; // 0/1 = no replay rate transform
-    bool noFastpath = false;
     bool dumpStats = false;
     std::string tracePath;     // chrome://tracing / Perfetto JSON
     std::string traceTextPath; // human-readable timeline
@@ -106,7 +104,6 @@ usage(const char *argv0)
         "                       inter-arrival gap by F at load time,\n"
         "                       so one recording covers a whole\n"
         "                       load-sweep family; F > 1 = hotter)\n"
-        "  --no-fastpath (naive engine paths; results must match)\n"
         "  --stats       (dump the full stat registry)\n"
         "  --trace=FILE      (write Chrome-trace JSON; load in\n"
         "                     chrome://tracing or ui.perfetto.dev)\n"
@@ -210,8 +207,6 @@ parseArg(Options &opts, const char *arg)
         opts.tracePath = v;
     } else if (const char *v = value("--trace-text")) {
         opts.traceTextPath = v;
-    } else if (std::strcmp(arg, "--no-fastpath") == 0) {
-        opts.noFastpath = true;
     } else if (std::strcmp(arg, "--stats") == 0) {
         opts.dumpStats = true;
     } else {
@@ -262,9 +257,7 @@ main(int argc, char **argv)
         }
     }
 
-    MachineConfig config = machineOf(opts.machine);
-    config.noFastpath = opts.noFastpath;
-    Machine machine(config, policyOf(opts.policy));
+    Machine machine(machineOf(opts.machine), policyOf(opts.policy));
     if (!opts.tracePath.empty() || !opts.traceTextPath.empty()) {
         if (opts.traceCapacity != 0)
             machine.trace().setCapacity(opts.traceCapacity);
@@ -429,29 +422,8 @@ main(int argc, char **argv)
         std::printf("\n--- stats ---\n%s",
                     machine.stats().dump().c_str());
     }
-    if (!opts.tracePath.empty()) {
-        if (!writeChromeTraceFile(machine.trace(), &machine.topo(),
-                                  opts.tracePath))
-            fatal("cannot write trace to '%s'",
-                  opts.tracePath.c_str());
-        std::fprintf(stderr, "trace: %llu records -> %s\n",
-                     static_cast<unsigned long long>(
-                         machine.trace().size()),
-                     opts.tracePath.c_str());
-    }
-    if (!opts.traceTextPath.empty()) {
-        TextDumpOptions text;
-        if (opts.traceTextPath == "-") {
-            writeTextTimeline(machine.trace(), text, stdout);
-        } else {
-            std::FILE *f =
-                std::fopen(opts.traceTextPath.c_str(), "w");
-            if (!f)
-                fatal("cannot write trace to '%s'",
-                      opts.traceTextPath.c_str());
-            writeTextTimeline(machine.trace(), text, f);
-            std::fclose(f);
-        }
-    }
+    if (!writeTraceFiles(machine.trace(), &machine.topo(), opts.tracePath,
+                         opts.traceTextPath))
+        return 1;
     return 0;
 }

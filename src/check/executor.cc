@@ -50,7 +50,6 @@ executorConfig(const Script &script, const ExecOptions &opt)
     cfg.pcidEnabled = script.pcid;
     cfg.injectSkipLatrSweep = opt.injectSkipLatrSweep;
     cfg.injectMispredictSharers = opt.injectMispredictSharers;
-    cfg.noFastpath = opt.noFastpath;
     return cfg;
 }
 
@@ -131,7 +130,7 @@ runScript(const Script &script, PolicyKind policy,
 
     Machine machine(executorConfig(script, opt), policy);
     machine.installStalenessOracle(opt.strict);
-    if (opt.trace) {
+    if (!opt.tracePath.empty()) {
         machine.trace().setCapacity(1 << 20);
         machine.trace().setEnabled(true);
     }
@@ -343,10 +342,34 @@ runScript(const Script &script, PolicyKind policy,
         result.heldBackBytes += p->mm().heldBackBytes();
     }
 
-    if (opt.trace && !opt.tracePath.empty())
+    if (!opt.tracePath.empty())
         writeChromeTraceFile(machine.trace(), &machine.topo(),
                              opt.tracePath);
     return result;
+}
+
+std::uint64_t
+stateDigest(const RunResult &run)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mixByte = [&h](unsigned char c) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    };
+    auto mix = [&mixByte](std::uint64_t v) {
+        for (unsigned b = 0; b < 8; ++b)
+            mixByte(static_cast<unsigned char>(v >> (b * 8)));
+    };
+    for (const auto &region : run.regionSig) {
+        mix(region.first);
+        for (char c : region.second)
+            mixByte(static_cast<unsigned char>(c));
+    }
+    for (std::uint64_t present : run.mmPresentPages)
+        mix(present);
+    mix(run.allocatedFrames);
+    mix(run.heldBackBytes);
+    return h;
 }
 
 DiffResult

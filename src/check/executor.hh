@@ -27,8 +27,7 @@ namespace latr
 /** Knobs for runScript(). */
 struct ExecOptions
 {
-    /** Record a Chrome trace of the run (see tracePath). */
-    bool trace = false;
+    /** Record a Chrome trace of the run to this file ("" = off). */
     std::string tracePath;
     /** Panic at the first oracle/invariant violation. */
     bool strict = false;
@@ -41,8 +40,6 @@ struct ExecOptions
      * injectSkipLatrSweep.
      */
     bool injectMispredictSharers = false;
-    /** Force the naive engine paths (MachineConfig::noFastpath). */
-    bool noFastpath = false;
 };
 
 /** Outcome of one script run under one policy. */
@@ -100,6 +97,13 @@ struct DiffResult
 /** Replay @p script under @p policy on a fresh machine. */
 RunResult runScript(const Script &script, PolicyKind policy,
                     const ExecOptions &opt = {});
+
+/**
+ * A stable 64-bit FNV-1a fingerprint of @p run's architectural state
+ * (regions in slot order, present pages per process, allocated
+ * frames, held-back bytes); oracle verdicts are not included.
+ */
+std::uint64_t stateDigest(const RunResult &run);
 
 /**
  * Diff two runs' architectural state (oracle verdicts are judged

@@ -121,7 +121,6 @@ runFuzz(const FuzzOptions &opt)
         // Re-run the minimized script with tracing so the dump
         // arrives with a Chrome-trace timeline of the failure.
         ExecOptions traced = opt.exec;
-        traced.trace = true;
         traced.tracePath = stem + ".trace.json";
         checkScript(minimized, traced);
         failure.tracePath = traced.tracePath;

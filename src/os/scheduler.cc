@@ -21,28 +21,7 @@ Scheduler::Scheduler(EventQueue &queue, const NumaTopology &topo,
         cs.id = static_cast<CoreId>(i);
         cs.tlb = std::make_unique<Tlb>(cs.id, config.l1TlbEntries,
                                        config.l2TlbEntries);
-        if (config.noFastpath)
-            cs.tickEvent = std::make_unique<TickEvent>(this, cs.id);
-    }
-    if (!config.noFastpath) {
-        // Build the tick wheel: cores sharing a phase offset share a
-        // bucket event. Phases are nondecreasing in core id, so a
-        // single in-order scan groups them; with the standard
-        // formula every phase is distinct and each slot holds one
-        // core, making the wheel fire exactly the events the
-        // per-core path would.
-        const Duration interval = config.cost.tickInterval;
-        slotOf_.resize(cores_.size());
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            const Tick phase = (interval * (i + 1)) / cores_.size();
-            if (wheel_.empty() || wheel_.back().phase != phase) {
-                wheel_.push_back(WheelSlot{phase, {}, nullptr});
-                wheel_.back().event = std::make_unique<WheelEvent>(
-                    this, static_cast<unsigned>(wheel_.size() - 1));
-            }
-            wheel_.back().cores.push_back(static_cast<CoreId>(i));
-            slotOf_[i] = static_cast<unsigned>(wheel_.size() - 1);
-        }
+        cs.tickEvent = std::make_unique<TickEvent>(this, cs.id);
     }
 }
 
@@ -66,25 +45,15 @@ Scheduler::start()
         return;
     started_ = true;
     const Duration interval = config_.cost.tickInterval;
-    if (config_.noFastpath) {
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            // Phase-shift ticks across cores: real machines' ticks
-            // are not synchronized, which is why LATR must age
-            // states two full periods before reclaiming. Every
-            // core's first tick still lands within one interval,
-            // preserving the paper's upper bound on lazy-shootdown
-            // completion.
-            const Tick phase = (interval * (i + 1)) / cores_.size();
-            queue_.schedule(cores_[i].tickEvent.get(),
-                            queue_.now() + phase);
-        }
-        return;
+    for (unsigned i = 0; i < cores_.size(); ++i) {
+        // Phase-shift ticks across cores: real machines' ticks are
+        // not synchronized, which is why LATR must age states two
+        // full periods before reclaiming. Every core's first tick
+        // still lands within one interval, preserving the paper's
+        // upper bound on lazy-shootdown completion.
+        const Tick phase = (interval * (i + 1)) / cores_.size();
+        queue_.schedule(cores_[i].tickEvent.get(), queue_.now() + phase);
     }
-    // Slots are in ascending phase == ascending core order, so the
-    // schedule-time sequence numbers (and thus same-tick FIFO order)
-    // match the per-core path.
-    for (WheelSlot &slot : wheel_)
-        queue_.schedule(slot.event.get(), queue_.now() + slot.phase);
 }
 
 void
@@ -94,11 +63,8 @@ Scheduler::stop()
         return;
     started_ = false;
     for (auto &cs : cores_)
-        if (cs.tickEvent && cs.tickEvent->scheduled())
+        if (cs.tickEvent->scheduled())
             queue_.deschedule(cs.tickEvent.get());
-    for (WheelSlot &slot : wheel_)
-        if (slot.event->scheduled())
-            queue_.deschedule(slot.event.get());
 }
 
 unsigned
@@ -149,13 +115,8 @@ Scheduler::currentTask(CoreId core) const
 Tick
 Scheduler::nextTickAt(CoreId core) const
 {
-    const CoreState &cs = cores_.at(core);
-    if (config_.noFastpath) {
-        return cs.tickEvent->scheduled() ? cs.tickEvent->when()
-                                         : kTickNever;
-    }
-    const WheelSlot &slot = wheel_[slotOf_.at(core)];
-    return slot.event->scheduled() ? slot.event->when() : kTickNever;
+    const TickEvent &ev = *cores_.at(core).tickEvent;
+    return ev.scheduled() ? ev.when() : kTickNever;
 }
 
 void
@@ -278,38 +239,24 @@ Scheduler::switchToTask(Task *task)
 }
 
 void
-Scheduler::tickCore(CoreId core)
-{
-    CoreState &cs = cores_[core];
-    const bool idle = cs.runqueue.empty();
-    if (idle && config_.ticklessIdle)
-        return;
-    ++ticksProcessed_;
-    chargeStolen(core, config_.cost.schedTickFixed);
-    if (trace_)
-        trace_->instant("os", "sched.tick", queue_.now(), core);
-    if (policy_)
-        policy_->onSchedulerTick(core, queue_.now());
-    // Timeslice rotation when the core is oversubscribed.
-    if (cs.runqueue.size() > 1)
-        chargeStolen(core, contextSwitch(core));
-}
-
-void
 Scheduler::tick(CoreId core)
 {
-    tickCore(core);
-    queue_.schedule(cores_[core].tickEvent.get(),
-                    queue_.now() + config_.cost.tickInterval);
-}
-
-void
-Scheduler::wheelTick(unsigned slot)
-{
-    WheelSlot &ws = wheel_[slot];
-    for (CoreId core : ws.cores)
-        tickCore(core);
-    queue_.schedule(ws.event.get(),
+    CoreState &cs = cores_[core];
+    if (!cs.runqueue.empty() || !config_.ticklessIdle) {
+        ++ticksProcessed_;
+        chargeStolen(core, config_.cost.schedTickFixed);
+        if (trace_)
+            trace_->instant("os", "sched.tick", queue_.now(), core);
+        if (policy_)
+            policy_->onSchedulerTick(core, queue_.now());
+        // Timeslice rotation when the core is oversubscribed.
+        if (cs.runqueue.size() > 1)
+            chargeStolen(core, contextSwitch(core));
+    }
+    // Reschedule last: the tick body sees this core's tick as not
+    // pending, and anything it schedules at the next tick's instant
+    // keeps its place ahead of the tick in FIFO order.
+    queue_.schedule(cs.tickEvent.get(),
                     queue_.now() + config_.cost.tickInterval);
 }
 

@@ -110,7 +110,7 @@ class Scheduler : public CoreService
   private:
     struct CoreState;
 
-    /** Recurring per-core tick (naive --no-fastpath path). */
+    /** Recurring per-core scheduler tick. */
     class TickEvent : public Event
     {
       public:
@@ -127,42 +127,8 @@ class Scheduler : public CoreService
         CoreId core_;
     };
 
-    /**
-     * Recurring tick-wheel bucket: one event per distinct phase
-     * offset, ticking every core parked in that slot. With the
-     * standard phase formula every core gets its own slot, so the
-     * wheel fires the same events at the same ticks as the per-core
-     * path — but the engine keeps N fewer events in the queue and
-     * pays one virtual dispatch per slot instead of per core.
-     */
-    class WheelEvent : public Event
-    {
-      public:
-        WheelEvent(Scheduler *sched, unsigned slot)
-            : sched_(sched), slot_(slot)
-        {}
-
-        void process() override { sched_->wheelTick(slot_); }
-
-        const char *name() const override { return "sched-tick"; }
-
-      private:
-        Scheduler *sched_;
-        unsigned slot_;
-    };
-
-    struct WheelSlot
-    {
-        Tick phase = 0;
-        std::vector<CoreId> cores;
-        std::unique_ptr<WheelEvent> event;
-    };
-
+    /** One core's tick body, then its next tick. */
     void tick(CoreId core);
-    void wheelTick(unsigned slot);
-
-    /** One core's tick body, sans rescheduling. */
-    void tickCore(CoreId core);
 
     /** Flush @p core's TLB and drop it from every residency mask. */
     void flushCore(CoreState &cs);
@@ -189,10 +155,6 @@ class Scheduler : public CoreService
     };
 
     std::vector<CoreState> cores_;
-    /** Tick-wheel slots, ascending phase (empty under noFastpath). */
-    std::vector<WheelSlot> wheel_;
-    /** Core id -> wheel slot index (empty under noFastpath). */
-    std::vector<unsigned> slotOf_;
     bool started_ = false;
     std::uint64_t ticksProcessed_ = 0;
 };

@@ -11,7 +11,6 @@ namespace latr
 
 LatrPolicy::LatrPolicy(PolicyEnv env)
     : TlbCoherencePolicy(std::move(env)),
-      fastpath_(!env_.config->noFastpath),
       sweepsCtr_(env_.stats->counter("latr.sweeps")),
       sweepMatchesCtr_(env_.stats->counter("latr.sweep_matches")),
       statesSavedCtr_(env_.stats->counter("latr.states_saved")),
@@ -269,12 +268,12 @@ LatrPolicy::sweep(CoreId core, Tick now)
 {
     sweepsCtr_.inc();
 
-    if (fastpath_ && !pendingSweepers_.test(core)) {
+    if (!pendingSweepers_.test(core)) {
         // Elided sweep: no active state addresses this core, so the
-        // scan would match nothing. Charge and model exactly what
-        // the naive matchless scan does — latrSweepFixed of stolen
-        // time and one LLC line — and skip only the host-side walk
-        // of active_.
+        // scan would match nothing. Charge and model exactly what a
+        // matchless scan does — latrSweepFixed of stolen time and
+        // one LLC line — and skip only the host-side walk of
+        // active_.
         env_.cores->chargeStolen(core, cost().latrSweepFixed);
         touchSweepLlc(core, 0);
         return;

@@ -104,19 +104,6 @@ struct MachineConfig
     bool injectMispredictSharers = false;
     /// @}
 
-    /// @name Engine debugging
-    /// @{
-    /**
-     * Force the pre-optimization naive engine paths: per-core tick
-     * events instead of the tick wheel, and full LATR sweep scans
-     * instead of the pendingSweepers_ elision mask. Both paths must
-     * produce byte-identical simulated results — this knob exists so
-     * tests (and `--no-fastpath` on the CLIs) can prove it. Never a
-     * model change, only a host-speed one.
-     */
-    bool noFastpath = false;
-    /// @}
-
     /** All latency constants. */
     CostModel cost;
 

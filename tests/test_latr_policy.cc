@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "test_helpers.hh"
 #include "tlbcoh/latr_policy.hh"
@@ -474,6 +476,161 @@ TEST(LatrPcid, SweepInvalidatesByPcidAcrossProcesses)
                                            b->mm().pcid()));
     machine.run(6 * kMsec);
     EXPECT_EQ(machine.checker()->violations(), 0u);
+}
+
+/**
+ * The invariant sweep elision rests on: every active state's cpuMask
+ * stays inside pendingSweepers(), so a core whose bit is clear has
+ * nothing to sweep. Checked every 50 us of a 120-core run where six
+ * publishers, each resident on cores on both sides of the 64-core
+ * word seam, issue AutoNUMA samples and munmaps, with PCIDs on and
+ * off.
+ */
+TEST(LatrElision, ActiveMasksStayInsidePendingSweepers)
+{
+    constexpr unsigned kPublishers = 6;
+    for (bool pcid : {true, false}) {
+        MachineConfig config = MachineConfig::largeNuma8S120C();
+        config.pcidEnabled = pcid;
+        Machine machine(config, PolicyKind::Latr);
+        Kernel &kernel = machine.kernel();
+        const auto *latr = static_cast<LatrPolicy *>(&machine.policy());
+        const unsigned cores = machine.topo().totalCores();
+
+        // A filler task on every core keeps every core ticking; the
+        // publishers' threads oversubscribe some, adding
+        // context-switch sweeps.
+        Process *fill = kernel.createProcess("fill");
+        for (CoreId c = 0; c < cores; ++c)
+            kernel.spawnTask(fill, c);
+        std::vector<std::vector<Task *>> threads(kPublishers);
+        std::vector<Addr> region(kPublishers);
+        for (unsigned p = 0; p < kPublishers; ++p) {
+            Process *proc = kernel.createProcess("p" + std::to_string(p));
+            for (CoreId off : {0u, 5u, 11u, 17u})
+                threads[p].push_back(
+                    kernel.spawnTask(proc, (p * 19 + off) % cores));
+            SyscallResult m = kernel.mmap(threads[p][0], 16 * kPageSize,
+                                          kProtRead | kProtWrite);
+            ASSERT_TRUE(m.ok);
+            region[p] = m.addr;
+            for (Task *t : threads[p])
+                test::touchRange(kernel, t, m.addr, 16 * kPageSize);
+        }
+
+        std::uint64_t checked = 0;
+        auto check = [&] {
+            const CpuMask &pending = latr->pendingSweepers();
+            for (CoreId c = 0; c < cores; ++c) {
+                for (const LatrState &state : latr->ringOf(c)) {
+                    if (state.phase != LatrStatePhase::Active)
+                        continue;
+                    CpuMask covered = state.cpuMask;
+                    covered.andWith(pending);
+                    EXPECT_TRUE(covered == state.cpuMask)
+                        << "pcid " << pcid << " ring " << c << " at "
+                        << machine.queue().now();
+                    ++checked;
+                }
+            }
+        };
+
+        for (unsigned iter = 0; iter < 30; ++iter) {
+            for (unsigned p = 0; p < kPublishers; ++p) {
+                const std::vector<Task *> &ts = threads[p];
+                kernel.numaSample(ts[iter % ts.size()],
+                                  region[p] / kPageSize + iter % 16);
+                SyscallResult m = kernel.mmap(ts[0], 2 * kPageSize,
+                                              kProtRead | kProtWrite);
+                ASSERT_TRUE(m.ok);
+                test::touchRange(kernel, ts[(iter + 1) % ts.size()],
+                                 m.addr, 2 * kPageSize);
+                test::touchRange(kernel, ts[(iter + 2) % ts.size()],
+                                 m.addr, kPageSize);
+                kernel.munmap(ts[iter % ts.size()], m.addr,
+                              2 * kPageSize);
+            }
+            check();
+            for (unsigned step = 0; step < 4; ++step) {
+                machine.run(50 * kUsec);
+                check();
+            }
+        }
+        EXPECT_GT(checked, 1000u) << "pcid " << pcid;
+        EXPECT_GT(machine.stats().counterValue("latr.sweep_matches"), 0u);
+    }
+}
+
+/**
+ * Sweep elision is invisible: an elided sweep (the core's
+ * pendingSweepers() bit is clear) and a full scan that matches
+ * nothing each charge exactly latrSweepFixed of stolen time, count
+ * one latr.sweeps and no latr.sweep_matches, and read one LLC line.
+ */
+TEST(LatrElision, ElidedSweepCostsExactlyAMatchlessScan)
+{
+    MachineConfig config = test::tinyConfig();
+    // Time-only reclamation with a delay far under one tick drops a
+    // state while its cores' bits are still pending: the next sweep
+    // of such a core scans every active state and matches nothing.
+    config.latrTimeOnlyReclaim = true;
+    config.cost.latrReclaimDelay = 10 * kUsec;
+    Machine machine(config, PolicyKind::Latr);
+    Kernel &kernel = machine.kernel();
+    auto *latr = static_cast<LatrPolicy *>(&machine.policy());
+    Process *proc = kernel.createProcess("p");
+    Task *owner = kernel.spawnTask(proc, 0);
+    Task *sharer = kernel.spawnTask(proc, 5);
+    kernel.spawnTask(kernel.createProcess("other"), 1);
+    machine.run(kUsec);
+
+    SyscallResult m =
+        kernel.mmap(owner, kPageSize, kProtRead | kProtWrite);
+    ASSERT_TRUE(m.ok);
+    test::touchRange(kernel, owner, m.addr, kPageSize);
+    test::touchRange(kernel, sharer, m.addr, kPageSize);
+    kernel.munmap(owner, m.addr, kPageSize);
+    ASSERT_EQ(latr->activeStates(), 1u);
+    // Reclaimed by age alone, well before core 5's first tick.
+    machine.run(20 * kUsec);
+    ASSERT_EQ(latr->activeStates(), 0u);
+    ASSERT_TRUE(latr->pendingSweepers().test(5));
+    ASSERT_FALSE(latr->pendingSweepers().test(1));
+
+    struct SweepCost
+    {
+        Duration stolen;
+        std::uint64_t sweeps, matches, llcLines;
+    };
+    auto sweepOnce = [&](CoreId core) {
+        LlcCache &llc = machine.llcOf(machine.topo().nodeOf(core));
+        auto lines = [&] {
+            return llc.hits(CacheAccessOrigin::LatrSweep) +
+                   llc.misses(CacheAccessOrigin::LatrSweep);
+        };
+        auto counter = [&](const char *name) {
+            return machine.stats().counterValue(name);
+        };
+        machine.scheduler().takeStolen(core);
+        const SweepCost before{0, counter("latr.sweeps"),
+                               counter("latr.sweep_matches"), lines()};
+        latr->onSchedulerTick(core, machine.queue().now());
+        return SweepCost{machine.scheduler().takeStolen(core),
+                         counter("latr.sweeps") - before.sweeps,
+                         counter("latr.sweep_matches") - before.matches,
+                         lines() - before.llcLines};
+    };
+
+    for (CoreId core : {1u, 5u}) {
+        const SweepCost cost = sweepOnce(core);
+        EXPECT_EQ(cost.stolen, config.cost.latrSweepFixed)
+            << "core " << core;
+        EXPECT_EQ(cost.sweeps, 1u) << "core " << core;
+        EXPECT_EQ(cost.matches, 0u) << "core " << core;
+        EXPECT_EQ(cost.llcLines, 1u) << "core " << core;
+    }
+    // The full scan cleared core 5's stale bit.
+    EXPECT_FALSE(latr->pendingSweepers().test(5));
 }
 
 } // namespace
