@@ -8,10 +8,10 @@
 // measuring the path this workload was built to stress.
 //
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
-// `--check-against=BASELINE.json` exits 1 when a policy's events/s
-// drops more than --max-regression (default 0.30) below the
-// baseline — simulated time, so deterministic on one build — and 2
-// when a baseline scenario is missing from the run.
+// `--check-against=BASELINE.json` exits 1 when any policy's digest
+// or events/s differs from the baseline's — simulated time, a
+// function of the seed and the model alone, so the gate is exact —
+// and 2 when a baseline scenario is missing from the run.
 
 #include <cstdio>
 #include <string>
@@ -51,8 +51,7 @@ int
 main(int argc, char **argv)
 {
     bench::acceptOptions(argc, argv,
-                         {"--json=", "--check-against=",
-                          "--max-regression="});
+                         {"--json=", "--check-against="});
     const bench::GateOptions gate = bench::gateOptionsFromArgs(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
@@ -117,9 +116,6 @@ main(int argc, char **argv)
                     row.name.c_str(), r.eventsPerSec, r.hitRatio,
                     static_cast<unsigned long long>(r.fallbackIpis),
                     static_cast<unsigned long long>(r.reclaimedPages));
-        char digest[24];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(r.digest));
         json.row()
             .str("scenario", row.name)
             .num("events_per_sec", r.eventsPerSec)
@@ -132,7 +128,7 @@ main(int argc, char **argv)
             .num("fallback_ipis_per_sec",
                  ratePerSecond(r.fallbackIpis, kMeasured))
             .num("reclaimed_pages", r.reclaimedPages)
-            .str("digest", digest);
+            .str("digest", bench::hexDigest(r.digest));
         if (row.name == "lazycache_latr") {
             latrEvents = r.eventsPerSec;
             latrFallbacks = r.fallbackIpis;
@@ -166,13 +162,11 @@ main(int argc, char **argv)
 
     if (gate.baselinePath.empty())
         return 0;
-    // Throughput gates downward: regression = events/s below the
-    // baseline's floor.
-    std::vector<bench::ScenarioValue> measured;
+    std::vector<bench::ExactRow> measured;
     for (const CacheRow &row : rows)
-        measured.push_back({row.name, row.result.eventsPerSec});
-    return bench::gateAgainstBaseline(
-        "bench_lazycache", gate,
-        {"throughput gate", "events_per_sec", true, 0, "events/s"},
-        measured);
+        measured.push_back(
+            {row.name, bench::hexDigest(row.result.digest),
+             row.result.eventsPerSec});
+    return bench::gateExact("bench_lazycache", gate.baselinePath,
+                            "events_per_sec", 0, measured);
 }

@@ -8,12 +8,11 @@
 // JSON row.
 //
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
-// `--check-against=BASELINE.json` exits 1 when a policy's p99
-// grows more than --max-regression (default 0.30) above the
-// baseline, and 2 when a baseline scenario is missing from the run
-// — the CI tail-latency gate. Unlike the wall-clock gates, these rows
-// are simulated time: deterministic on one build, immune to host
-// noise.
+// `--check-against=BASELINE.json` exits 1 when any policy's digest
+// or p99 differs from the baseline's, and 2 when a baseline scenario
+// is missing from the run — the CI tail-latency gate. These rows are
+// simulated time, a function of the seed and the model alone, so
+// the gate is exact: any difference is a behaviour change.
 
 #include <chrono>
 #include <cstdio>
@@ -62,7 +61,7 @@ main(int argc, char **argv)
 {
     bench::acceptOptions(argc, argv,
                          {"--json=", "--check-against=",
-                          "--max-regression=", "--per-tenant"});
+                          "--per-tenant"});
     const bench::GateOptions gate = bench::gateOptionsFromArgs(argc, argv);
     ServeOptions serveOptions;
     for (int i = 1; i < argc; ++i)
@@ -130,9 +129,6 @@ main(int argc, char **argv)
                     row.name.c_str(), bench::us(r.p50()),
                     bench::us(r.p99()), bench::us(r.p999()),
                     r.requestsPerSec);
-        char digest[24];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(r.digest));
         auto &jr = json.row();
         jr.str("scenario", row.name)
             .num("p50_us", bench::us(r.p50()))
@@ -153,7 +149,7 @@ main(int argc, char **argv)
             std::snprintf(key, sizeof key, "tenant%zu_completed", t);
             jr.num(key, r.tenantLatency[t].count());
         }
-        jr.str("digest", digest);
+        jr.str("digest", bench::hexDigest(r.digest));
         if (row.name == "serve_linux")
             linuxP99 = bench::us(r.p99());
         else if (row.name == "serve_latr")
@@ -181,13 +177,11 @@ main(int argc, char **argv)
 
     if (gate.baselinePath.empty())
         return 0;
-    // Tail latency gates upward: regression = p99 above the
-    // baseline's ceiling.
-    std::vector<bench::ScenarioValue> measured;
+    std::vector<bench::ExactRow> measured;
     for (const ServeRow &row : rows)
-        measured.push_back({row.name, bench::us(row.result.p99())});
-    return bench::gateAgainstBaseline(
-        "bench_serve", gate, {"tail gate", "p99_us", false, 1, "us"},
-        measured);
+        measured.push_back(
+            {row.name, bench::hexDigest(row.result.digest),
+             bench::us(row.result.p99())});
+    return bench::gateExact("bench_serve", gate.baselinePath, "p99_us", 1,
+                            measured);
 }
-

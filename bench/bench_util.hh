@@ -393,9 +393,10 @@ finishTrace(Machine &machine, const TraceOptions &opts)
 }
 
 /**
- * The regression-gate knobs shared by the gated benches:
- * `--check-against=BASELINE.json` and `--max-regression=R`, where R
- * is a fraction (0.30) or a percentage (30). A malformed R exits 2.
+ * The baseline gate's knobs: `--check-against=BASELINE.json` (all
+ * gated benches) and `--max-regression=R` (bench_engine's host-time
+ * gate only), where R is a fraction (0.30) or a percentage (30). A
+ * malformed R exits 2.
  */
 struct GateOptions
 {
@@ -429,16 +430,23 @@ struct ScenarioValue
     double value;
 };
 
-/**
- * Read @p field from every row of a BENCH_*.json written by an
- * earlier run, in file order. Rows that do not carry the field are
- * skipped; an empty result means the file was unreadable or held no
- * such rows.
- */
-inline std::vector<ScenarioValue>
-readBaseline(const std::string &path, const char *field)
+/** One recorded row: scenario name and a field's JSON text. */
+struct ScenarioText
 {
-    std::vector<ScenarioValue> out;
+    std::string scenario;
+    std::string text; ///< a string field's contents, unquoted
+};
+
+/**
+ * Read @p field's text from every row of a BENCH_*.json written by
+ * an earlier run, in file order. Rows that do not carry the field
+ * are skipped; an empty result means the file was unreadable or held
+ * no such rows.
+ */
+inline std::vector<ScenarioText>
+readBaselineText(const std::string &path, const char *field)
+{
+    std::vector<ScenarioText> out;
     std::ifstream in(path);
     if (!in)
         return out;
@@ -455,13 +463,32 @@ readBaseline(const std::string &path, const char *field)
             break;
         // Only this row's own field counts.
         const std::size_t row_end = text.find('}', end);
-        const std::size_t value = text.find(key, end);
-        if (value < row_end)
+        std::size_t value = text.find(key, end);
+        if (value < row_end) {
+            value = text.find_first_not_of(' ', value + key.size());
+            if (value == std::string::npos)
+                break;
+            const bool quoted = text[value] == '"';
+            const std::size_t first = value + quoted;
+            const std::size_t last =
+                quoted ? text.find('"', first)
+                       : text.find_first_of(",}", first);
             out.push_back({text.substr(at, end - at),
-                           std::strtod(text.c_str() + value + key.size(),
-                                       nullptr)});
+                           text.substr(first, last - first)});
+        }
         at = end;
     }
+    return out;
+}
+
+/** readBaselineText() of a numeric field. */
+inline std::vector<ScenarioValue>
+readBaseline(const std::string &path, const char *field)
+{
+    std::vector<ScenarioValue> out;
+    for (const ScenarioText &row : readBaselineText(path, field))
+        out.push_back(
+            {row.scenario, std::strtod(row.text.c_str(), nullptr)});
     return out;
 }
 
@@ -529,6 +556,84 @@ gateAgainstBaseline(const char *tool, const GateOptions &opts,
                     got->value, spec.unit, spec.precision, base.value,
                     spec.higherIsBetter ? "floor" : "ceiling",
                     spec.precision, bound, ok ? "ok" : "REGRESSION");
+        if (!ok)
+            failed = true;
+    }
+    return failed ? 1 : 0;
+}
+
+/** A run digest as BENCH_*.json rows record it: 16 hex digits. */
+inline std::string
+hexDigest(std::uint64_t digest)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    return buf;
+}
+
+/** One simulated row as measured: its digest and one gated field. */
+struct ExactRow
+{
+    std::string scenario;
+    std::string digest;
+    double value;
+};
+
+/**
+ * Gate simulated rows exactly: every baseline row's `digest` and
+ * @p field must equal what this run measured, bit for bit (the JSON
+ * writer's %.17g round-trips a double). Simulated results depend
+ * only on the seed and the model, so any difference is a behaviour
+ * change, never host noise; a tolerance would hide it. Prints one
+ * line per baseline row, @p field with @p precision digits after
+ * the point.
+ *
+ * @return 0 when every row matches, 1 on a mismatch, 2 when the
+ *         baseline is unreadable or names a scenario this run did
+ *         not produce.
+ */
+inline int
+gateExact(const char *tool, const std::string &baseline_path,
+          const char *field, int precision,
+          const std::vector<ExactRow> &measured)
+{
+    const std::vector<ScenarioText> digests =
+        readBaselineText(baseline_path, "digest");
+    const std::vector<ScenarioValue> values =
+        readBaseline(baseline_path, field);
+    if (digests.empty() || digests.size() != values.size()) {
+        std::fprintf(stderr,
+                     "%s: cannot read digest and %s from every "
+                     "scenario row of baseline '%s'\n",
+                     tool, field, baseline_path.c_str());
+        return 2;
+    }
+    bool failed = false;
+    for (std::size_t i = 0; i < digests.size(); ++i) {
+        const ScenarioText &digest = digests[i];
+        const ScenarioValue &base = values[i];
+        const ExactRow *got = nullptr;
+        for (const ExactRow &m : measured)
+            if (m.scenario == digest.scenario)
+                got = &m;
+        if (!got || base.scenario != digest.scenario) {
+            std::fprintf(stderr,
+                         "%s: baseline scenario '%s' missing from "
+                         "this run (have:",
+                         tool, digest.scenario.c_str());
+            for (const ExactRow &m : measured)
+                std::fprintf(stderr, " %s", m.scenario.c_str());
+            std::fprintf(stderr, "); refresh the baseline\n");
+            return 2;
+        }
+        const bool ok =
+            got->digest == digest.text && got->value == base.value;
+        std::printf("exact gate [%s]: digest %s, %s %.*f vs baseline "
+                    "digest %s, %.*f: %s\n",
+                    digest.scenario.c_str(), got->digest.c_str(),
+                    field, precision, got->value, digest.text.c_str(),
+                    precision, base.value, ok ? "ok" : "MISMATCH");
         if (!ok)
             failed = true;
     }

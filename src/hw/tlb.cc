@@ -6,10 +6,13 @@
 namespace latr
 {
 
-Tlb::Level::Level(unsigned capacity) : capacity_(capacity)
+Tlb::SlotArray::SlotArray(unsigned l1, unsigned l2)
 {
-    if (capacity == 0 || capacity >= kNil)
-        fatal("TLB level capacity %u out of range", capacity);
+    const unsigned capacity = l1 + l2;
+    if (l1 == 0 || capacity >= kNil)
+        fatal("TLB array capacity %u+%u out of range", l1, l2);
+    tiers_[0].capacity = l1;
+    tiers_[1].capacity = l2;
     std::uint32_t table_size = 1;
     while (table_size < 2 * capacity) // ≤50% load
         table_size <<= 1;
@@ -23,7 +26,7 @@ Tlb::Level::Level(unsigned capacity) : capacity_(capacity)
 }
 
 std::uint16_t
-Tlb::Level::findSlot(const Key &k) const
+Tlb::SlotArray::find(const Key &k) const
 {
     std::uint32_t i = hashOf(k) & mask_;
     while (table_[i] != kNil) {
@@ -35,34 +38,39 @@ Tlb::Level::findSlot(const Key &k) const
 }
 
 void
-Tlb::Level::unlink(std::uint16_t i)
+Tlb::SlotArray::unlink(std::uint16_t i)
 {
     const Slot &s = slots_[i];
+    Tier &t = tiers_[s.tier];
     if (s.prev != kNil)
         slots_[s.prev].next = s.next;
     else
-        head_ = s.next;
+        t.head = s.next;
     if (s.next != kNil)
         slots_[s.next].prev = s.prev;
     else
-        tail_ = s.prev;
+        t.tail = s.prev;
+    --t.size;
 }
 
 void
-Tlb::Level::linkFront(std::uint16_t i)
+Tlb::SlotArray::linkFront(std::uint16_t i, unsigned tier)
 {
     Slot &s = slots_[i];
+    Tier &t = tiers_[tier];
+    s.tier = static_cast<std::uint8_t>(tier);
     s.prev = kNil;
-    s.next = head_;
-    if (head_ != kNil)
-        slots_[head_].prev = i;
+    s.next = t.head;
+    if (t.head != kNil)
+        slots_[t.head].prev = i;
     else
-        tail_ = i;
-    head_ = i;
+        t.tail = i;
+    t.head = i;
+    ++t.size;
 }
 
 void
-Tlb::Level::tableErase(std::uint16_t slot)
+Tlb::SlotArray::tableErase(std::uint16_t slot)
 {
     std::uint32_t i = hashOf(slots_[slot].entry.key) & mask_;
     while (table_[i] != slot)
@@ -87,7 +95,7 @@ Tlb::Level::tableErase(std::uint16_t slot)
 }
 
 void
-Tlb::Level::eraseSlot(std::uint16_t i)
+Tlb::SlotArray::erase(std::uint16_t i)
 {
     tableErase(i);
     unlink(i);
@@ -96,99 +104,81 @@ Tlb::Level::eraseSlot(std::uint16_t i)
     --size_;
 }
 
-const Tlb::Entry *
-Tlb::Level::touch(const Key &k)
+void
+Tlb::SlotArray::spillOverflow()
 {
-    const std::uint16_t i = findSlot(k);
-    if (i == kNil)
-        return nullptr;
-    if (i != head_) {
-        unlink(i);
-        linkFront(i);
+    if (tiers_[0].size > tiers_[0].capacity) {
+        const std::uint16_t spill = tiers_[0].tail;
+        unlink(spill);
+        linkFront(spill, 1);
     }
-    return &slots_[i].entry;
-}
-
-const Tlb::Entry *
-Tlb::Level::peek(const Key &k) const
-{
-    const std::uint16_t i = findSlot(k);
-    return i == kNil ? nullptr : &slots_[i].entry;
 }
 
 void
-Tlb::Level::insert(const Entry &e, Entry *victim_out, bool *had_victim)
+Tlb::SlotArray::promote(std::uint16_t i)
 {
-    *had_victim = false;
-    const std::uint16_t existing = findSlot(e.key);
-    if (existing != kNil) {
-        // Refresh in place (e.g., remap to a new frame) and touch.
-        slots_[existing].entry.pfn = e.pfn;
-        slots_[existing].entry.writable = e.writable;
-        if (existing != head_) {
-            unlink(existing);
-            linkFront(existing);
-        }
+    if (i == tiers_[0].head)
         return;
-    }
-    if (size_ >= capacity_) {
-        *victim_out = slots_[tail_].entry;
-        *had_victim = true;
-        eraseSlot(tail_);
+    unlink(i);
+    linkFront(i, 0);
+    spillOverflow();
+}
+
+bool
+Tlb::SlotArray::insert(const Entry &e, Entry *victim_out)
+{
+    bool had_victim = false;
+    if (size_ == slots_.size()) {
+        const Tier &last = tiers_[tiers_[1].capacity != 0 ? 1 : 0];
+        *victim_out = slots_[last.tail].entry;
+        had_victim = true;
+        erase(last.tail);
     }
     const std::uint16_t slot = freeHead_;
     freeHead_ = slots_[slot].next;
     slots_[slot].entry = e;
-    linkFront(slot);
     std::uint32_t pos = hashOf(e.key) & mask_;
     while (table_[pos] != kNil)
         pos = (pos + 1) & mask_;
     table_[pos] = slot;
     ++size_;
-}
-
-bool
-Tlb::Level::remove(const Key &k, Entry *removed_out)
-{
-    const std::uint16_t i = findSlot(k);
-    if (i == kNil)
-        return false;
-    if (removed_out)
-        *removed_out = slots_[i].entry;
-    eraseSlot(i);
-    return true;
+    linkFront(slot, 0);
+    spillOverflow();
+    return had_victim;
 }
 
 void
-Tlb::Level::clear()
+Tlb::SlotArray::clear()
 {
     // Erase only the live slots: a flush costs O(size), not
     // O(capacity), and most flushes (CR3 writes without PCID) hit an
     // already empty TLB. Everything goes, so no backward shift is
     // needed: each live slot's table cell is found by probing from
     // its home for the slot index itself (emptied cells do not end
-    // that search), and the whole LRU chain is spliced onto the free
+    // that search), and each tier's chain is spliced onto the free
     // list. Which free slot a later insert reuses is unobservable —
     // LRU order, the probe table, and forEach() order depend on keys
     // and insertion order, never on slot indices.
-    if (head_ == kNil)
-        return;
-    for (std::uint16_t i = head_; i != kNil; i = slots_[i].next) {
-        std::uint32_t pos = hashOf(slots_[i].entry.key) & mask_;
-        while (table_[pos] != i)
-            pos = (pos + 1) & mask_;
-        table_[pos] = kNil;
+    for (Tier &t : tiers_) {
+        if (t.head == kNil)
+            continue;
+        for (std::uint16_t i = t.head; i != kNil; i = slots_[i].next) {
+            std::uint32_t pos = hashOf(slots_[i].entry.key) & mask_;
+            while (table_[pos] != i)
+                pos = (pos + 1) & mask_;
+            table_[pos] = kNil;
+        }
+        slots_[t.tail].next = freeHead_;
+        freeHead_ = t.head;
+        t.head = t.tail = kNil;
+        t.size = 0;
     }
-    slots_[tail_].next = freeHead_;
-    freeHead_ = head_;
-    head_ = tail_ = kNil;
     size_ = 0;
 }
 
 Tlb::Tlb(CoreId core, unsigned l1_entries, unsigned l2_entries,
          unsigned huge_entries)
-    : core_(core), l1_(l1_entries), l2_(l2_entries),
-      huge_(huge_entries)
+    : core_(core), base_(l1_entries, l2_entries), huge_(huge_entries, 0)
 {
     if (l1_entries == 0 || l2_entries == 0 || huge_entries == 0)
         fatal("TLB levels need nonzero capacity");
@@ -215,77 +205,62 @@ Tlb::lookup(Vpn vpn, Pcid pcid, Pfn *pfn_out, bool *writable_out,
     if (huge_out)
         *huge_out = false;
     // The 2 MiB array covers whole regions; it wins when populated.
-    Key hk{hugeBaseOf(vpn), pcid};
-    if (const Entry *e = huge_.touch(hk)) {
-        ++l1Hits_;
-        if (pfn_out)
-            *pfn_out = e->pfn + (vpn - hugeBaseOf(vpn));
-        if (writable_out)
-            *writable_out = e->writable;
-        if (huge_out)
-            *huge_out = true;
-        return TlbResult::HitL1;
-    }
-    Key k{vpn, pcid};
-    if (const Entry *e = l1_.touch(k)) {
-        ++l1Hits_;
-        if (pfn_out)
-            *pfn_out = e->pfn;
-        if (writable_out)
-            *writable_out = e->writable;
-        return TlbResult::HitL1;
-    }
-    Entry promoted;
-    if (l2_.remove(k, &promoted)) {
-        ++l2Hits_;
-        if (pfn_out)
-            *pfn_out = promoted.pfn;
-        if (writable_out)
-            *writable_out = promoted.writable;
-        // Promote into L1; an L1 victim spills back into L2. Neither
-        // movement changes overall TLB membership, so no listener
-        // traffic unless the spill evicts an L2 entry.
-        Entry l1_victim;
-        bool had_l1_victim = false;
-        l1_.insert(promoted, &l1_victim, &had_l1_victim);
-        if (had_l1_victim) {
-            Entry l2_victim;
-            bool had_l2_victim = false;
-            l2_.insert(l1_victim, &l2_victim, &had_l2_victim);
-            if (had_l2_victim)
-                notifyRemove(l2_victim);
+    if (huge_.size() != 0) {
+        const std::uint16_t h = huge_.find(Key{hugeBaseOf(vpn), pcid});
+        if (h != SlotArray::kNil) {
+            huge_.promote(h);
+            ++l1Hits_;
+            const Entry &e = huge_.entry(h);
+            if (pfn_out)
+                *pfn_out = e.pfn + (vpn - hugeBaseOf(vpn));
+            if (writable_out)
+                *writable_out = e.writable;
+            if (huge_out)
+                *huge_out = true;
+            return TlbResult::HitL1;
         }
-        return TlbResult::HitL2;
     }
-    ++misses_;
-    return TlbResult::Miss;
+    const std::uint16_t i = base_.find(Key{vpn, pcid});
+    if (i == SlotArray::kNil) {
+        ++misses_;
+        return TlbResult::Miss;
+    }
+    // An L2 hit promotes the entry into L1 and spills L1's LRU entry
+    // to L2's MRU end. Membership does not change, so the listeners
+    // hear nothing: L2 just gave up the promoted entry's place.
+    const bool in_l1 = base_.tierOf(i) == 0;
+    if (in_l1)
+        ++l1Hits_;
+    else
+        ++l2Hits_;
+    base_.promote(i);
+    const Entry &e = base_.entry(i);
+    if (pfn_out)
+        *pfn_out = e.pfn;
+    if (writable_out)
+        *writable_out = e.writable;
+    return in_l1 ? TlbResult::HitL1 : TlbResult::HitL2;
 }
 
 bool
 Tlb::probe(Vpn vpn, Pcid pcid) const
 {
-    Key k{vpn, pcid};
-    return l1_.peek(k) != nullptr || l2_.peek(k) != nullptr ||
+    return base_.find(Key{vpn, pcid}) != SlotArray::kNil ||
            probeHuge(vpn, pcid);
 }
 
 bool
 Tlb::probeHuge(Vpn vpn, Pcid pcid) const
 {
-    Key hk{hugeBaseOf(vpn), pcid};
-    return huge_.peek(hk) != nullptr;
+    return huge_.find(Key{hugeBaseOf(vpn), pcid}) != SlotArray::kNil;
 }
 
 bool
 Tlb::probePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
 {
-    Key k{vpn, pcid};
-    if (const Entry *e = l1_.peek(k)) {
-        *pfn_out = e->pfn;
-        return true;
-    }
-    if (const Entry *e = l2_.peek(k)) {
-        *pfn_out = e->pfn;
+    const std::uint16_t i = base_.find(Key{vpn, pcid});
+    if (i != SlotArray::kNil) {
+        *pfn_out = base_.entry(i).pfn;
         return true;
     }
     return probeHugePfn(vpn, pcid, pfn_out);
@@ -294,97 +269,94 @@ Tlb::probePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
 bool
 Tlb::probeHugePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
 {
-    Key hk{hugeBaseOf(vpn), pcid};
-    if (const Entry *e = huge_.peek(hk)) {
-        *pfn_out = e->pfn;
-        return true;
-    }
-    return false;
+    const std::uint16_t h = huge_.find(Key{hugeBaseOf(vpn), pcid});
+    if (h == SlotArray::kNil)
+        return false;
+    *pfn_out = huge_.entry(h).pfn;
+    return true;
 }
 
 void
 Tlb::insertHuge(Vpn base_vpn, Pfn base_pfn, Pcid pcid, bool writable)
 {
-    Key k{hugeBaseOf(base_vpn), pcid};
-    Entry old;
-    bool existed = huge_.remove(k, &old);
-    bool same_frame = existed && old.pfn == base_pfn;
-    if (existed && !same_frame)
-        notifyRemove(old);
-
-    Entry e{k, base_pfn, writable};
-    Entry victim;
-    bool had_victim = false;
-    huge_.insert(e, &victim, &had_victim);
-    if (!same_frame)
-        notifyInsert(e);
-    if (had_victim)
-        notifyRemove(victim);
+    install(huge_, Entry{Key{hugeBaseOf(base_vpn), pcid}, base_pfn,
+                         writable});
 }
 
 void
 Tlb::insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable)
 {
-    Key k{vpn, pcid};
-    // Collapse any existing copy first so the listener sees a remap
-    // as remove(old frame) + insert(new frame). A permission-only
-    // change keeps the same frame and stays quiet.
-    Entry old;
-    bool existed = l1_.remove(k, &old) || l2_.remove(k, &old);
-    bool same_frame = existed && old.pfn == pfn;
-    if (existed && !same_frame)
-        notifyRemove(old);
+    install(base_, Entry{Key{vpn, pcid}, pfn, writable});
+}
 
-    Entry e{k, pfn, writable};
-    Entry l1_victim;
-    bool had_l1_victim = false;
-    l1_.insert(e, &l1_victim, &had_l1_victim);
-    if (!same_frame)
-        notifyInsert(e);
-    if (had_l1_victim) {
-        Entry l2_victim;
-        bool had_l2_victim = false;
-        l2_.insert(l1_victim, &l2_victim, &had_l2_victim);
-        if (had_l2_victim)
-            notifyRemove(l2_victim);
+void
+Tlb::install(SlotArray &array, const Entry &e)
+{
+    // The listener sees a remap as remove(old frame) + insert(new
+    // frame); a permission-only change keeps the same frame and stays
+    // quiet. A present key is refreshed in place and promoted, so it
+    // never evicts: it already holds a slot.
+    const std::uint16_t i = array.find(e.key);
+    if (i != SlotArray::kNil) {
+        Entry &cached = array.entry(i);
+        const Entry old = cached;
+        cached.pfn = e.pfn;
+        cached.writable = e.writable;
+        array.promote(i);
+        if (old.pfn != e.pfn) {
+            notifyRemove(old);
+            notifyInsert(e);
+        }
+        return;
     }
+    Entry victim;
+    const bool had_victim = array.insert(e, &victim);
+    notifyInsert(e);
+    if (had_victim)
+        notifyRemove(victim);
+}
+
+void
+Tlb::drop(SlotArray &array, std::uint16_t i)
+{
+    const Entry removed = array.entry(i);
+    array.erase(i);
+    notifyRemove(removed);
 }
 
 void
 Tlb::invalidatePage(Vpn vpn, Pcid pcid)
 {
-    Key k{vpn, pcid};
-    Entry removed;
-    if (l1_.remove(k, &removed))
-        notifyRemove(removed);
-    if (l2_.remove(k, &removed))
-        notifyRemove(removed);
+    const std::uint16_t i = base_.find(Key{vpn, pcid});
+    if (i != SlotArray::kNil)
+        drop(base_, i);
     // INVLPG drops whatever entry covers the address — including a
     // 2 MiB one.
-    Key hk{hugeBaseOf(vpn), pcid};
-    if (huge_.remove(hk, &removed))
-        notifyRemove(removed);
+    const std::uint16_t h = huge_.find(Key{hugeBaseOf(vpn), pcid});
+    if (h != SlotArray::kNil)
+        drop(huge_, h);
 }
 
 void
-Tlb::invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
+Tlb::invalidateRangeIn(unsigned tier, Vpn start_vpn, Vpn end_vpn,
                        Pcid pcid)
 {
-    // Adaptive: an munmap of a few pages should not pay a scan of a
-    // 1024-entry level, and a giant teardown should not probe every
-    // VPN in the range. span == 0 means the range wrapped the whole
-    // VPN space; treat it as wide.
+    // Adaptive, per tier: an munmap of a few pages should not pay a
+    // scan of a 1024-entry L2, and a giant teardown should not probe
+    // every VPN in the range. span == 0 means the range wrapped the
+    // whole VPN space; treat it as wide.
     const std::uint64_t span = end_vpn - start_vpn + 1;
-    if (span != 0 && span < level.size()) {
-        Entry removed;
+    if (span != 0 && span < base_.tierSize(tier)) {
         for (Vpn v = start_vpn;; ++v) {
-            if (level.remove(Key{v, pcid}, &removed))
-                notifyRemove(removed);
+            const std::uint16_t i = base_.find(Key{v, pcid});
+            if (i != SlotArray::kNil && base_.tierOf(i) == tier)
+                drop(base_, i);
             if (v == end_vpn)
                 break;
         }
     } else {
-        level.removeMatching(
+        base_.removeMatching(
+            tier,
             [&](const Entry &e) {
                 return e.key.pcid == pcid && e.key.vpn >= start_vpn &&
                        e.key.vpn <= end_vpn;
@@ -399,8 +371,8 @@ Tlb::invalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid)
     if (trace_)
         trace_->instantNow("hw", "tlb.inv_range", core_, kTraceNoMm,
                            end_vpn - start_vpn + 1);
-    invalidateRangeIn(l1_, start_vpn, end_vpn, pcid);
-    invalidateRangeIn(l2_, start_vpn, end_vpn, pcid);
+    invalidateRangeIn(0, start_vpn, end_vpn, pcid);
+    invalidateRangeIn(1, start_vpn, end_vpn, pcid);
     // Huge entries overlap the range if any of their 512 pages do.
     // Every huge key is span-aligned, so the overlapping bases are
     // exactly hugeBaseOf(start) .. hugeBaseOf(end).
@@ -408,15 +380,16 @@ Tlb::invalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid)
     const Vpn hb_end = hugeBaseOf(end_vpn);
     const std::uint64_t bases = (hb_end - hb_start) / kHugePageSpan + 1;
     if (bases < huge_.size()) {
-        Entry removed;
         for (Vpn b = hb_start;; b += kHugePageSpan) {
-            if (huge_.remove(Key{b, pcid}, &removed))
-                notifyRemove(removed);
+            const std::uint16_t h = huge_.find(Key{b, pcid});
+            if (h != SlotArray::kNil)
+                drop(huge_, h);
             if (b == hb_end)
                 break;
         }
     } else {
         huge_.removeMatching(
+            0,
             [&](const Entry &e) {
                 return e.key.pcid == pcid && e.key.vpn <= end_vpn &&
                        e.key.vpn + kHugePageSpan - 1 >= start_vpn;
@@ -433,9 +406,9 @@ Tlb::invalidatePcid(Pcid pcid)
                            pcid);
     auto match = [&](const Entry &e) { return e.key.pcid == pcid; };
     auto notify = [&](const Entry &e) { notifyRemove(e); };
-    l1_.removeMatching(match, notify);
-    l2_.removeMatching(match, notify);
-    huge_.removeMatching(match, notify);
+    base_.removeMatching(0, match, notify);
+    base_.removeMatching(1, match, notify);
+    huge_.removeMatching(0, match, notify);
 }
 
 void
@@ -446,12 +419,12 @@ Tlb::flushAll()
         trace_->instantNow("hw", "tlb.flush_all", core_, kTraceNoMm,
                            size());
     if (!listeners_.empty()) {
-        l1_.forEach([&](const Entry &e) { notifyRemove(e); });
-        l2_.forEach([&](const Entry &e) { notifyRemove(e); });
-        huge_.forEach([&](const Entry &e) { notifyRemove(e); });
+        auto notify = [&](const Entry &e) { notifyRemove(e); };
+        base_.forEach(0, notify);
+        base_.forEach(1, notify);
+        huge_.forEach(0, notify);
     }
-    l1_.clear();
-    l2_.clear();
+    base_.clear();
     huge_.clear();
 }
 

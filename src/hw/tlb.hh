@@ -8,11 +8,15 @@
  * and removal, which the invariant checker uses to prove the paper's
  * reuse invariant.
  *
- * Each level is a fixed-capacity slot array allocated once at
- * construction: true-LRU order is an intrusive prev/next index chain
- * through the slots, and lookup is an open-addressing (linear probe,
- * backward-shift deletion) index table — the hottest simulator path
- * performs zero heap allocation after the TLB is built.
+ * L1 and L2 are two exclusive tiers of one fixed-capacity slot array
+ * allocated at construction, with one open-addressing (linear probe,
+ * backward-shift deletion) index table over both. Each tier keeps
+ * its own true-LRU order as an intrusive prev/next chain through the
+ * slots. An L2 hit is one probe plus two chain relinks: promotion
+ * and the L1 victim's spill change which tier holds a key, never
+ * where the index finds it. The 2 MiB array is the same structure
+ * with one tier. The hottest simulator path performs zero heap
+ * allocation after the TLB is built.
  */
 
 #ifndef LATR_HW_TLB_HH_
@@ -167,7 +171,7 @@ class Tlb
     std::size_t
     size() const
     {
-        return l1_.size() + l2_.size() + huge_.size();
+        return base_.size() + huge_.size();
     }
 
     /** Number of valid 2 MiB entries. */
@@ -202,59 +206,80 @@ class Tlb
     };
 
     /**
-     * One fully associative LRU level: a slot array sized once at
-     * construction, an intrusive MRU→LRU index chain through the
-     * slots, and a linear-probe index table at ≤50% load. No member
-     * allocates after the constructor.
+     * Fully associative LRU storage for one or two exclusive tiers:
+     * one slot array and one linear-probe index table (≤50% load)
+     * over every tier, plus an intrusive MRU→LRU chain and a count
+     * per tier. A key lives in at most one tier, so moving an entry
+     * between tiers relinks chains and never touches the index. No
+     * member allocates after the constructor.
+     *
+     * The 4 KiB arrays are tier 0 (L1) and tier 1 (L2): new entries
+     * enter tier 0, tier 0's LRU entry spills to tier 1's MRU end,
+     * and tier 1's LRU entry leaves. The 2 MiB array has one tier.
      */
-    class Level
+    class SlotArray
     {
       public:
-        explicit Level(unsigned capacity);
+        static constexpr std::uint16_t kNil = 0xffff;
 
-        bool contains(const Key &k) const { return findSlot(k) != kNil; }
+        /** @param l2 capacity of tier 1; 0 makes a one-tier array. */
+        SlotArray(unsigned l1, unsigned l2);
 
-        /** Find and touch (move to MRU). @return entry or nullptr. */
-        const Entry *touch(const Key &k);
+        /** Probe the index table. @return slot index or kNil. */
+        std::uint16_t find(const Key &k) const;
 
-        /** Find without LRU update. */
-        const Entry *peek(const Key &k) const;
+        Entry &entry(std::uint16_t i) { return slots_[i].entry; }
+        const Entry &
+        entry(std::uint16_t i) const
+        {
+            return slots_[i].entry;
+        }
+        unsigned tierOf(std::uint16_t i) const { return slots_[i].tier; }
 
         /**
-         * Insert; if full, the LRU entry is evicted into
-         * @p victim_out and true is returned in *had_victim.
+         * Move slot @p i to tier 0's MRU end. Leaving tier 1, it
+         * spills tier 0's LRU entry to tier 1's MRU end when tier 0
+         * overflows; the set of cached keys does not change.
          */
-        void insert(const Entry &e, Entry *victim_out, bool *had_victim);
+        void promote(std::uint16_t i);
 
-        /** Remove by key. @return true if present. */
-        bool remove(const Key &k, Entry *removed_out = nullptr);
+        /**
+         * Insert @p e, whose key must be absent, at tier 0's MRU end.
+         * When every tier is full, the last tier's LRU entry is
+         * evicted first, into @p victim_out, and true is returned.
+         */
+        bool insert(const Entry &e, Entry *victim_out);
+
+        /** Remove slot @p i (index, chain, free list). */
+        void erase(std::uint16_t i);
 
         std::size_t size() const { return size_; }
+        std::size_t tierSize(unsigned t) const { return tiers_[t].size; }
 
-        /** Invoke @p fn on each entry, MRU first; no removal in fn. */
+        /** Invoke @p fn on each entry of tier @p t, MRU first. */
         template <typename Fn>
         void
-        forEach(Fn &&fn) const
+        forEach(unsigned t, Fn &&fn) const
         {
-            for (std::uint16_t i = head_; i != kNil;
+            for (std::uint16_t i = tiers_[t].head; i != kNil;
                  i = slots_[i].next)
                 fn(slots_[i].entry);
         }
 
         /**
-         * Remove every entry matching @p pred, MRU-to-LRU order,
-         * invoking @p on_remove with a copy of each removed entry.
+         * Remove every entry of tier @p t matching @p pred, MRU-to-
+         * LRU order, invoking @p on_remove with a copy of each.
          */
         template <typename Pred, typename OnRemove>
         void
-        removeMatching(Pred &&pred, OnRemove &&on_remove)
+        removeMatching(unsigned t, Pred &&pred, OnRemove &&on_remove)
         {
-            std::uint16_t i = head_;
+            std::uint16_t i = tiers_[t].head;
             while (i != kNil) {
                 const std::uint16_t next = slots_[i].next;
                 if (pred(slots_[i].entry)) {
                     const Entry removed = slots_[i].entry;
-                    eraseSlot(i);
+                    erase(i);
                     on_remove(removed);
                 }
                 i = next;
@@ -265,14 +290,21 @@ class Tlb
         void clear();
 
       private:
-        static constexpr std::uint16_t kNil = 0xffff;
-
         struct Slot
         {
             Entry entry;
-            /** LRU chain while live; next doubles as free-list link. */
+            /** Tier chain while live; next doubles as free-list link. */
             std::uint16_t prev;
             std::uint16_t next;
+            std::uint8_t tier;
+        };
+
+        struct Tier
+        {
+            std::uint16_t head = kNil; // MRU
+            std::uint16_t tail = kNil; // LRU
+            std::size_t size = 0;
+            std::size_t capacity = 0;
         };
 
         static std::uint32_t
@@ -284,26 +316,21 @@ class Tlb
             return static_cast<std::uint32_t>(h >> 32);
         }
 
-        /** Probe the index table. @return slot index or kNil. */
-        std::uint16_t findSlot(const Key &k) const;
-
-        /** Unlink slot @p i from the LRU chain. */
+        /** Unlink slot @p i from its tier's chain. */
         void unlink(std::uint16_t i);
 
-        /** Link slot @p i at the MRU head. */
-        void linkFront(std::uint16_t i);
+        /** Link slot @p i at tier @p t's MRU end. */
+        void linkFront(std::uint16_t i, unsigned t);
 
-        /** Erase the table entry pointing at slot @p i (backward shift). */
+        /** Move tier 0's LRU slot to tier 1's MRU end if over capacity. */
+        void spillOverflow();
+
+        /** Erase the table cell pointing at slot @p i (backward shift). */
         void tableErase(std::uint16_t i);
 
-        /** Remove slot @p i entirely (table, chain, free list). */
-        void eraseSlot(std::uint16_t i);
-
-        unsigned capacity_;
+        Tier tiers_[2]; // tier 1 has capacity 0 in a one-tier array
         std::uint32_t mask_; // table size - 1 (power of two)
         std::size_t size_ = 0;
-        std::uint16_t head_ = kNil; // MRU
-        std::uint16_t tail_ = kNil; // LRU
         std::uint16_t freeHead_ = kNil;
         std::vector<Slot> slots_;
         std::vector<std::uint16_t> table_; // slot index or kNil
@@ -312,14 +339,19 @@ class Tlb
     void notifyInsert(const Entry &e);
     void notifyRemove(const Entry &e);
 
-    /** invalidateRange over one 4 KiB level, probe or scan. */
-    void invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
+    /** insert()/insertHuge(): refresh a present key or add a new one. */
+    void install(SlotArray &array, const Entry &e);
+
+    /** Remove slot @p i of @p array and notify its removal. */
+    void drop(SlotArray &array, std::uint16_t i);
+
+    /** invalidateRange over one 4 KiB tier, probe or scan. */
+    void invalidateRangeIn(unsigned tier, Vpn start_vpn, Vpn end_vpn,
                            Pcid pcid);
 
     CoreId core_;
-    Level l1_;
-    Level l2_;
-    Level huge_; // separate 2 MiB-entry array
+    SlotArray base_; // 4 KiB entries: L1 tier 0, L2 tier 1
+    SlotArray huge_; // separate 2 MiB-entry array, one tier
     std::vector<TlbListener *> listeners_;
     TraceRecorder *trace_ = nullptr;
 

@@ -36,12 +36,12 @@ InvariantChecker::onTlbInsert(CoreId, Vpn, Pfn pfn, Pcid)
 void
 InvariantChecker::onTlbRemove(CoreId, Vpn, Pfn pfn, Pcid)
 {
-    auto it = refs_.find(pfn);
-    if (it == refs_.end() || it->second == 0)
+    unsigned *refs = refs_.find(pfn);
+    if (!refs || *refs == 0)
         panic("TLB remove of untracked pfn %llu",
               static_cast<unsigned long long>(pfn));
-    if (--it->second == 0)
-        refs_.erase(it);
+    if (--*refs == 0)
+        refs_.erase(pfn);
     --entries_;
 }
 
@@ -62,8 +62,8 @@ InvariantChecker::onFrameFree(Pfn pfn)
 unsigned
 InvariantChecker::tlbRefs(Pfn pfn) const
 {
-    auto it = refs_.find(pfn);
-    return it == refs_.end() ? 0 : it->second;
+    const unsigned *refs = refs_.find(pfn);
+    return refs ? *refs : 0;
 }
 
 void

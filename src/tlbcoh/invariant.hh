@@ -16,11 +16,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "hw/tlb.hh"
 #include "mem/frame_allocator.hh"
 #include "sim/types.hh"
+#include "vm/flat_page_map.hh"
 
 namespace latr
 {
@@ -65,7 +65,13 @@ class InvariantChecker : public TlbListener, public FrameListener
     void violation(const char *what, Pfn pfn);
 
     bool strict_;
-    std::unordered_map<Pfn, unsigned> refs_;
+    /**
+     * Live TLB references per frame; a frame leaves the map when its
+     * count drops to 0. Open addressing: once the map has grown to
+     * the peak number of mapped frames, the insert/remove churn of
+     * TLB promotion and eviction allocates nothing.
+     */
+    FlatPageMap<unsigned> refs_;
     std::uint64_t entries_ = 0;
     std::uint64_t violations_ = 0;
     std::string first_;

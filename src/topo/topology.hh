@@ -48,12 +48,17 @@ class NumaTopology
     /** Interconnect hops between the sockets of two cores. */
     unsigned hops(CoreId a, CoreId b) const;
 
-    /** Largest hop count between any two cores. */
-    unsigned maxHops() const;
+    /**
+     * Largest hop count between any two cores. Computed once at
+     * construction: the topology is immutable, and the predictive
+     * policy's staleness contract asks on every invalidation.
+     */
+    unsigned maxHops() const { return maxHops_; }
 
   private:
     unsigned sockets_;
     unsigned coresPerSocket_;
+    unsigned maxHops_ = 0;
 };
 
 } // namespace latr

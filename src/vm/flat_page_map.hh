@@ -1,13 +1,16 @@
 /**
  * @file
- * FlatPageMap: an open-addressing Vpn-keyed hash map in the style of
- * the TLB's slot array (hw/tlb.cc) — linear probing at most 50% load
- * with backward-shift deletion, so lookups walk short, contiguous,
- * cache-resident probe chains and no tombstones accumulate. Replaces
- * std::unordered_map for the per-page bookkeeping AddressSpace keeps
- * (ABIS sharer masks, KSM content tags): those maps are consulted
- * once per unmapped page on every munmap, and the node-per-entry
- * layout of unordered_map made each consult a dependent cache miss.
+ * FlatPageMap: an open-addressing map keyed by page number (a Vpn or
+ * a Pfn) in the style of the TLB's slot array (hw/tlb.cc) — linear
+ * probing at most 50% load with backward-shift deletion, so lookups
+ * walk short, contiguous, cache-resident probe chains and no
+ * tombstones accumulate. Replaces std::unordered_map for the per-page
+ * bookkeeping AddressSpace keeps (ABIS sharer masks, KSM content
+ * tags): those maps are consulted once per unmapped page on every
+ * munmap, and the node-per-entry layout of unordered_map made each
+ * consult a dependent cache miss. The invariant checker's per-frame
+ * TLB reference counts use it too: inserting and erasing keys never
+ * allocates once the table has grown to its peak size.
  */
 
 #ifndef LATR_VM_FLAT_PAGE_MAP_HH_
@@ -105,13 +108,23 @@ class FlatPageMap
         }
     }
 
+    /** Remove every entry, keeping the table's capacity. */
+    void
+    clear()
+    {
+        for (Slot &s : slots_)
+            s = Slot{};
+        size_ = 0;
+    }
+
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
   private:
     /**
      * Key sentinel for an empty slot. Safe: a real Vpn is below
-     * kUserVaLimit >> kPageShift (~2^35), nowhere near ~0.
+     * kUserVaLimit >> kPageShift (~2^35), nowhere near ~0, and ~0
+     * as a Pfn is kPfnInvalid, which no translation maps.
      */
     static constexpr Vpn kEmptyKey = ~0ULL;
 

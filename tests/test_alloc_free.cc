@@ -22,6 +22,7 @@
 #include "serve/histogram.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "tlbcoh/invariant.hh"
 #include "workload/lazycache.hh"
 
 namespace
@@ -173,6 +174,43 @@ TEST(AllocFree, TlbFlushAllSteadyState)
     EXPECT_EQ(allocsNow() - before, 0u)
         << "Tlb::flushAll allocated in steady state";
     EXPECT_EQ(tlb.flushes(), 4001u);
+}
+
+TEST(AllocFree, TlbPromotionWithCheckerSteadyState)
+{
+    // The lazycache read pattern: a working set larger than L1 but
+    // inside L2, so nearly every lookup is an L2 hit that promotes
+    // one entry and spills another, on a TLB the invariant checker
+    // mirrors. Remaps and range invalidations move frames' reference
+    // counts across 0 and back; none of it may allocate once warm.
+    Tlb tlb(0, 64, 1024, 32);
+    InvariantChecker checker;
+    tlb.setListener(&checker);
+    const Vpn working_set = 512;
+    auto frameOf = [](Vpn vpn, int round) {
+        return 0x1000 + 2 * vpn + (round & 1);
+    };
+    auto loop = [&](int round) {
+        for (Vpn v = 0; v < working_set; ++v) {
+            if (tlb.lookup(v, 1) == TlbResult::Miss)
+                tlb.insert(v, frameOf(v, round), 1);
+            if (v % 8 == 0) // remap: old frame out, new frame in
+                tlb.insert(v, frameOf(v, round + 1), 1);
+        }
+        tlb.invalidateRange(round % 400, round % 400 + 15, 1);
+    };
+    for (int round = 0; round < 8; ++round)
+        loop(round);
+
+    const std::uint64_t l2_hits = tlb.l2Hits();
+    const std::uint64_t before = allocsNow();
+    for (int round = 8; round < 208; ++round)
+        loop(round);
+    EXPECT_EQ(allocsNow() - before, 0u)
+        << "checked TLB promotion path allocated in steady state";
+    EXPECT_GT(tlb.l2Hits() - l2_hits, 200u * working_set / 2);
+    EXPECT_EQ(checker.violations(), 0u);
+    EXPECT_EQ(checker.mirroredEntries(), tlb.size());
 }
 
 TEST(AllocFree, FrameAllocPutSteadyState)

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hw/tlb.hh"
+#include "sim/rng.hh"
 #include "trace/trace.hh"
 
 namespace latr
@@ -485,6 +488,721 @@ TEST_P(TlbFillSweep, SizeNeverExceedsConfiguredCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbFillSweep,
                          ::testing::Values(2u, 4u, 64u));
+
+// --- Differential test: the shared-index TLB against the two-level
+// --- TLB it replaced, op for op.
+
+/**
+ * The reference: the TLB as it was before L1 and L2 shared one index,
+ * kept verbatim apart from tracing. Each level is its own slot array
+ * with its own probe table, so an L2 hit removes the entry from L2,
+ * inserts it into L1 and inserts L1's victim into L2.
+ */
+class RefTlb
+{
+  public:
+    RefTlb(CoreId core, unsigned l1_entries, unsigned l2_entries,
+           unsigned huge_entries)
+        : core_(core), l1_(l1_entries), l2_(l2_entries),
+          huge_(huge_entries)
+    {}
+
+    void setListener(TlbListener *listener) { listener_ = listener; }
+
+    TlbResult
+    lookup(Vpn vpn, Pcid pcid, Pfn *pfn_out, bool *writable_out,
+           bool *huge_out)
+    {
+        *huge_out = false;
+        Key hk{hugeBaseOf(vpn), pcid};
+        if (const Entry *e = huge_.touch(hk)) {
+            ++l1Hits_;
+            *pfn_out = e->pfn + (vpn - hugeBaseOf(vpn));
+            *writable_out = e->writable;
+            *huge_out = true;
+            return TlbResult::HitL1;
+        }
+        Key k{vpn, pcid};
+        if (const Entry *e = l1_.touch(k)) {
+            ++l1Hits_;
+            *pfn_out = e->pfn;
+            *writable_out = e->writable;
+            return TlbResult::HitL1;
+        }
+        Entry promoted;
+        if (l2_.remove(k, &promoted)) {
+            ++l2Hits_;
+            *pfn_out = promoted.pfn;
+            *writable_out = promoted.writable;
+            Entry l1_victim;
+            bool had_l1_victim = false;
+            l1_.insert(promoted, &l1_victim, &had_l1_victim);
+            if (had_l1_victim) {
+                Entry l2_victim;
+                bool had_l2_victim = false;
+                l2_.insert(l1_victim, &l2_victim, &had_l2_victim);
+                if (had_l2_victim)
+                    notifyRemove(l2_victim);
+            }
+            return TlbResult::HitL2;
+        }
+        ++misses_;
+        return TlbResult::Miss;
+    }
+
+    bool
+    probe(Vpn vpn, Pcid pcid) const
+    {
+        Key k{vpn, pcid};
+        return l1_.peek(k) != nullptr || l2_.peek(k) != nullptr ||
+               probeHuge(vpn, pcid);
+    }
+
+    bool
+    probeHuge(Vpn vpn, Pcid pcid) const
+    {
+        return huge_.peek(Key{hugeBaseOf(vpn), pcid}) != nullptr;
+    }
+
+    bool
+    probePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
+    {
+        Key k{vpn, pcid};
+        if (const Entry *e = l1_.peek(k)) {
+            *pfn_out = e->pfn;
+            return true;
+        }
+        if (const Entry *e = l2_.peek(k)) {
+            *pfn_out = e->pfn;
+            return true;
+        }
+        return probeHugePfn(vpn, pcid, pfn_out);
+    }
+
+    bool
+    probeHugePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
+    {
+        if (const Entry *e = huge_.peek(Key{hugeBaseOf(vpn), pcid})) {
+            *pfn_out = e->pfn;
+            return true;
+        }
+        return false;
+    }
+
+    void
+    insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable)
+    {
+        Key k{vpn, pcid};
+        Entry old;
+        bool existed = l1_.remove(k, &old) || l2_.remove(k, &old);
+        bool same_frame = existed && old.pfn == pfn;
+        if (existed && !same_frame)
+            notifyRemove(old);
+        Entry e{k, pfn, writable};
+        Entry l1_victim;
+        bool had_l1_victim = false;
+        l1_.insert(e, &l1_victim, &had_l1_victim);
+        if (!same_frame)
+            notifyInsert(e);
+        if (had_l1_victim) {
+            Entry l2_victim;
+            bool had_l2_victim = false;
+            l2_.insert(l1_victim, &l2_victim, &had_l2_victim);
+            if (had_l2_victim)
+                notifyRemove(l2_victim);
+        }
+    }
+
+    void
+    insertHuge(Vpn base_vpn, Pfn base_pfn, Pcid pcid, bool writable)
+    {
+        Key k{hugeBaseOf(base_vpn), pcid};
+        Entry old;
+        bool existed = huge_.remove(k, &old);
+        bool same_frame = existed && old.pfn == base_pfn;
+        if (existed && !same_frame)
+            notifyRemove(old);
+        Entry e{k, base_pfn, writable};
+        Entry victim;
+        bool had_victim = false;
+        huge_.insert(e, &victim, &had_victim);
+        if (!same_frame)
+            notifyInsert(e);
+        if (had_victim)
+            notifyRemove(victim);
+    }
+
+    void
+    invalidatePage(Vpn vpn, Pcid pcid)
+    {
+        Key k{vpn, pcid};
+        Entry removed;
+        if (l1_.remove(k, &removed))
+            notifyRemove(removed);
+        if (l2_.remove(k, &removed))
+            notifyRemove(removed);
+        if (huge_.remove(Key{hugeBaseOf(vpn), pcid}, &removed))
+            notifyRemove(removed);
+    }
+
+    void
+    invalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid)
+    {
+        invalidateRangeIn(l1_, start_vpn, end_vpn, pcid);
+        invalidateRangeIn(l2_, start_vpn, end_vpn, pcid);
+        const Vpn hb_start = hugeBaseOf(start_vpn);
+        const Vpn hb_end = hugeBaseOf(end_vpn);
+        const std::uint64_t bases =
+            (hb_end - hb_start) / kHugePageSpan + 1;
+        if (bases < huge_.size()) {
+            Entry removed;
+            for (Vpn b = hb_start;; b += kHugePageSpan) {
+                if (huge_.remove(Key{b, pcid}, &removed))
+                    notifyRemove(removed);
+                if (b == hb_end)
+                    break;
+            }
+        } else {
+            huge_.removeMatching(
+                [&](const Entry &e) {
+                    return e.key.pcid == pcid && e.key.vpn <= end_vpn &&
+                           e.key.vpn + kHugePageSpan - 1 >= start_vpn;
+                },
+                [&](const Entry &e) { notifyRemove(e); });
+        }
+    }
+
+    void
+    invalidatePcid(Pcid pcid)
+    {
+        auto match = [&](const Entry &e) { return e.key.pcid == pcid; };
+        auto notify = [&](const Entry &e) { notifyRemove(e); };
+        l1_.removeMatching(match, notify);
+        l2_.removeMatching(match, notify);
+        huge_.removeMatching(match, notify);
+    }
+
+    void
+    flushAll()
+    {
+        ++flushes_;
+        if (listener_) {
+            l1_.forEach([&](const Entry &e) { notifyRemove(e); });
+            l2_.forEach([&](const Entry &e) { notifyRemove(e); });
+            huge_.forEach([&](const Entry &e) { notifyRemove(e); });
+        }
+        l1_.clear();
+        l2_.clear();
+        huge_.clear();
+    }
+
+    std::size_t
+    size() const
+    {
+        return l1_.size() + l2_.size() + huge_.size();
+    }
+    std::size_t hugeSize() const { return huge_.size(); }
+    std::uint64_t l1Hits() const { return l1Hits_; }
+    std::uint64_t l2Hits() const { return l2Hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t flushes() const { return flushes_; }
+
+  private:
+    struct Key
+    {
+        Vpn vpn;
+        Pcid pcid;
+
+        bool
+        operator==(const Key &o) const
+        {
+            return vpn == o.vpn && pcid == o.pcid;
+        }
+    };
+
+    struct Entry
+    {
+        Key key;
+        Pfn pfn;
+        bool writable;
+    };
+
+    /** One fully associative LRU level with its own probe table. */
+    class Level
+    {
+      public:
+        explicit Level(unsigned capacity) : capacity_(capacity)
+        {
+            std::uint32_t table_size = 1;
+            while (table_size < 2 * capacity)
+                table_size <<= 1;
+            mask_ = table_size - 1;
+            table_.assign(table_size, kNil);
+            slots_.resize(capacity);
+            for (unsigned i = 0; i < capacity; ++i)
+                slots_[i].next = static_cast<std::uint16_t>(
+                    i + 1 < capacity ? i + 1 : kNil);
+            freeHead_ = 0;
+        }
+
+        const Entry *
+        touch(const Key &k)
+        {
+            const std::uint16_t i = findSlot(k);
+            if (i == kNil)
+                return nullptr;
+            if (i != head_) {
+                unlink(i);
+                linkFront(i);
+            }
+            return &slots_[i].entry;
+        }
+
+        const Entry *
+        peek(const Key &k) const
+        {
+            const std::uint16_t i = findSlot(k);
+            return i == kNil ? nullptr : &slots_[i].entry;
+        }
+
+        void
+        insert(const Entry &e, Entry *victim_out, bool *had_victim)
+        {
+            *had_victim = false;
+            const std::uint16_t existing = findSlot(e.key);
+            if (existing != kNil) {
+                slots_[existing].entry.pfn = e.pfn;
+                slots_[existing].entry.writable = e.writable;
+                if (existing != head_) {
+                    unlink(existing);
+                    linkFront(existing);
+                }
+                return;
+            }
+            if (size_ >= capacity_) {
+                *victim_out = slots_[tail_].entry;
+                *had_victim = true;
+                eraseSlot(tail_);
+            }
+            const std::uint16_t slot = freeHead_;
+            freeHead_ = slots_[slot].next;
+            slots_[slot].entry = e;
+            linkFront(slot);
+            std::uint32_t pos = hashOf(e.key) & mask_;
+            while (table_[pos] != kNil)
+                pos = (pos + 1) & mask_;
+            table_[pos] = slot;
+            ++size_;
+        }
+
+        bool
+        remove(const Key &k, Entry *removed_out)
+        {
+            const std::uint16_t i = findSlot(k);
+            if (i == kNil)
+                return false;
+            *removed_out = slots_[i].entry;
+            eraseSlot(i);
+            return true;
+        }
+
+        std::size_t size() const { return size_; }
+
+        template <typename Fn>
+        void
+        forEach(Fn &&fn) const
+        {
+            for (std::uint16_t i = head_; i != kNil; i = slots_[i].next)
+                fn(slots_[i].entry);
+        }
+
+        template <typename Pred, typename OnRemove>
+        void
+        removeMatching(Pred &&pred, OnRemove &&on_remove)
+        {
+            std::uint16_t i = head_;
+            while (i != kNil) {
+                const std::uint16_t next = slots_[i].next;
+                if (pred(slots_[i].entry)) {
+                    const Entry removed = slots_[i].entry;
+                    eraseSlot(i);
+                    on_remove(removed);
+                }
+                i = next;
+            }
+        }
+
+        void
+        clear()
+        {
+            while (head_ != kNil)
+                eraseSlot(head_);
+        }
+
+      private:
+        static constexpr std::uint16_t kNil = 0xffff;
+
+        struct Slot
+        {
+            Entry entry;
+            std::uint16_t prev;
+            std::uint16_t next;
+        };
+
+        static std::uint32_t
+        hashOf(const Key &k)
+        {
+            std::uint64_t h =
+                (static_cast<std::uint64_t>(k.pcid) << 48) ^ k.vpn;
+            h *= 0x9e3779b97f4a7c15ULL;
+            return static_cast<std::uint32_t>(h >> 32);
+        }
+
+        std::uint16_t
+        findSlot(const Key &k) const
+        {
+            std::uint32_t i = hashOf(k) & mask_;
+            while (table_[i] != kNil) {
+                if (slots_[table_[i]].entry.key == k)
+                    return table_[i];
+                i = (i + 1) & mask_;
+            }
+            return kNil;
+        }
+
+        void
+        unlink(std::uint16_t i)
+        {
+            const Slot &s = slots_[i];
+            if (s.prev != kNil)
+                slots_[s.prev].next = s.next;
+            else
+                head_ = s.next;
+            if (s.next != kNil)
+                slots_[s.next].prev = s.prev;
+            else
+                tail_ = s.prev;
+        }
+
+        void
+        linkFront(std::uint16_t i)
+        {
+            Slot &s = slots_[i];
+            s.prev = kNil;
+            s.next = head_;
+            if (head_ != kNil)
+                slots_[head_].prev = i;
+            else
+                tail_ = i;
+            head_ = i;
+        }
+
+        void
+        tableErase(std::uint16_t slot)
+        {
+            std::uint32_t i = hashOf(slots_[slot].entry.key) & mask_;
+            while (table_[i] != slot)
+                i = (i + 1) & mask_;
+            std::uint32_t j = i;
+            for (;;) {
+                table_[i] = kNil;
+                std::uint32_t home;
+                do {
+                    j = (j + 1) & mask_;
+                    if (table_[j] == kNil)
+                        return;
+                    home = hashOf(slots_[table_[j]].entry.key) & mask_;
+                } while (i <= j ? (home > i && home <= j)
+                                : (home > i || home <= j));
+                table_[i] = table_[j];
+                i = j;
+            }
+        }
+
+        void
+        eraseSlot(std::uint16_t i)
+        {
+            tableErase(i);
+            unlink(i);
+            slots_[i].next = freeHead_;
+            freeHead_ = i;
+            --size_;
+        }
+
+        unsigned capacity_;
+        std::uint32_t mask_;
+        std::size_t size_ = 0;
+        std::uint16_t head_ = kNil;
+        std::uint16_t tail_ = kNil;
+        std::uint16_t freeHead_ = kNil;
+        std::vector<Slot> slots_;
+        std::vector<std::uint16_t> table_;
+    };
+
+    void
+    notifyInsert(const Entry &e)
+    {
+        if (listener_)
+            listener_->onTlbInsert(core_, e.key.vpn, e.pfn, e.key.pcid);
+    }
+
+    void
+    notifyRemove(const Entry &e)
+    {
+        if (listener_)
+            listener_->onTlbRemove(core_, e.key.vpn, e.pfn, e.key.pcid);
+    }
+
+    void
+    invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
+                      Pcid pcid)
+    {
+        const std::uint64_t span = end_vpn - start_vpn + 1;
+        if (span != 0 && span < level.size()) {
+            Entry removed;
+            for (Vpn v = start_vpn;; ++v) {
+                if (level.remove(Key{v, pcid}, &removed))
+                    notifyRemove(removed);
+                if (v == end_vpn)
+                    break;
+            }
+        } else {
+            level.removeMatching(
+                [&](const Entry &e) {
+                    return e.key.pcid == pcid && e.key.vpn >= start_vpn &&
+                           e.key.vpn <= end_vpn;
+                },
+                [&](const Entry &e) { notifyRemove(e); });
+        }
+    }
+
+    CoreId core_;
+    Level l1_;
+    Level l2_;
+    Level huge_;
+    TlbListener *listener_ = nullptr;
+    std::uint64_t l1Hits_ = 0;
+    std::uint64_t l2Hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t flushes_ = 0;
+};
+
+/** Records every listener event, in order, for exact comparison. */
+class EventLog : public TlbListener
+{
+  public:
+    struct Event
+    {
+        bool insert;
+        CoreId core;
+        Vpn vpn;
+        Pfn pfn;
+        Pcid pcid;
+
+        bool operator==(const Event &) const = default;
+    };
+
+    void
+    onTlbInsert(CoreId core, Vpn vpn, Pfn pfn, Pcid pcid) override
+    {
+        events.push_back({true, core, vpn, pfn, pcid});
+    }
+
+    void
+    onTlbRemove(CoreId core, Vpn vpn, Pfn pfn, Pcid pcid) override
+    {
+        events.push_back({false, core, vpn, pfn, pcid});
+    }
+
+    std::vector<Event> events;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const EventLog::Event &e)
+{
+    return os << (e.insert ? "+" : "-") << e.core << "/" << e.pcid << ":"
+              << e.vpn << "=" << e.pfn;
+}
+
+/** (L1 entries, L2 entries, huge entries, seed). */
+using DiffParam = std::tuple<unsigned, unsigned, unsigned, std::uint64_t>;
+
+class TlbDifferential : public ::testing::TestWithParam<DiffParam>
+{
+};
+
+TEST_P(TlbDifferential, MatchesTwoLevelTlbOpForOp)
+{
+    const auto [l1, l2, huge, seed] = GetParam();
+    Tlb tlb(3, l1, l2, huge);
+    RefTlb ref(3, l1, l2, huge);
+    EventLog got;
+    EventLog want;
+    tlb.setListener(&got);
+    ref.setListener(&want);
+    Rng rng(seed);
+
+    // Base pages span 1.5x the two tiers, so a random stream mixes L1
+    // hits, L2 hits (promotions) and misses; huge regions sit above
+    // them. A wide invalidation or flush comes once per 4 * total
+    // steps on average, about one per refill of the TLB, so it runs
+    // full much of the time.
+    const unsigned total = l1 + l2;
+    const Vpn base_pages = total + total / 2 + 2;
+    const Vpn huge_first = hugeBaseOf(base_pages) + 4 * kHugePageSpan;
+    const Vpn huge_regions = 2 * huge + 1;
+    const std::uint64_t wide_odds = 4 * total;
+    const int steps = static_cast<int>(std::max(20000u, 100 * total));
+    std::size_t max_base = 0;
+    std::uint64_t evictions = 0;
+
+    auto pickVpn = [&]() -> Vpn {
+        if (rng.nextBounded(8) == 0)
+            return huge_first +
+                   rng.nextBounded(huge_regions) * kHugePageSpan +
+                   rng.nextBounded(kHugePageSpan);
+        return rng.nextBounded(base_pages);
+    };
+    auto pickPcid = [&]() {
+        return static_cast<Pcid>(rng.nextBounded(3));
+    };
+    // Three candidate frames per page: a present page is re-inserted
+    // with its own frame (quiet) or remapped to another one.
+    auto pickPfn = [&](Vpn vpn) { return 8 * vpn + rng.nextBounded(3); };
+
+    for (int step = 0; step < steps; ++step) {
+        const std::uint64_t roll = rng.nextBounded(1000);
+        std::string op;
+        if (rng.nextBounded(wide_odds) == 0) {
+            const Pcid pcid = pickPcid();
+            const std::uint64_t kind = rng.nextBounded(4);
+            if (kind == 0) {
+                op = "invalidateRange(wide)";
+                const Vpn start = rng.nextBounded(base_pages);
+                const Vpn end = start + rng.nextBounded(base_pages) +
+                                total / 2;
+                tlb.invalidateRange(start, end, pcid);
+                ref.invalidateRange(start, end, pcid);
+            } else if (kind == 1) {
+                // The whole VPN space: the span wraps to 0.
+                op = "invalidateRange(all)";
+                tlb.invalidateRange(0, ~Vpn{0}, pcid);
+                ref.invalidateRange(0, ~Vpn{0}, pcid);
+            } else if (kind == 2) {
+                op = "invalidatePcid";
+                tlb.invalidatePcid(pcid);
+                ref.invalidatePcid(pcid);
+            } else {
+                op = "flushAll";
+                tlb.flushAll();
+                ref.flushAll();
+            }
+        } else if (roll < 450) {
+            op = "lookup";
+            const Vpn vpn = pickVpn();
+            const Pcid pcid = pickPcid();
+            Pfn pfn_got = 0, pfn_want = 0;
+            bool w_got = false, w_want = false;
+            bool h_got = false, h_want = false;
+            const TlbResult r_got =
+                tlb.lookup(vpn, pcid, &pfn_got, &w_got, &h_got);
+            const TlbResult r_want =
+                ref.lookup(vpn, pcid, &pfn_want, &w_want, &h_want);
+            ASSERT_EQ(r_got, r_want) << op << " step " << step;
+            ASSERT_EQ(h_got, h_want) << op << " step " << step;
+            if (r_got != TlbResult::Miss) {
+                ASSERT_EQ(pfn_got, pfn_want) << op << " step " << step;
+                ASSERT_EQ(w_got, w_want) << op << " step " << step;
+            } else if (rng.nextBool(0.5) && vpn < base_pages) {
+                // The page walk's refill, as the kernel does it.
+                const Pfn pfn = pickPfn(vpn);
+                tlb.insert(vpn, pfn, pcid, true);
+                ref.insert(vpn, pfn, pcid, true);
+            }
+        } else if (roll < 700) {
+            op = "insert";
+            const Vpn vpn = rng.nextBounded(base_pages);
+            const Pcid pcid = pickPcid();
+            const Pfn pfn = pickPfn(vpn);
+            const bool writable = rng.nextBool(0.7);
+            tlb.insert(vpn, pfn, pcid, writable);
+            ref.insert(vpn, pfn, pcid, writable);
+        } else if (roll < 750) {
+            op = "insertHuge";
+            const Vpn vpn = huge_first +
+                            rng.nextBounded(huge_regions) * kHugePageSpan +
+                            rng.nextBounded(kHugePageSpan);
+            const Pcid pcid = pickPcid();
+            const Pfn pfn = 1'000'000 + 4 * hugeBaseOf(vpn) +
+                            rng.nextBounded(2) * kHugePageSpan;
+            const bool writable = rng.nextBool(0.5);
+            tlb.insertHuge(vpn, pfn, pcid, writable);
+            ref.insertHuge(vpn, pfn, pcid, writable);
+        } else if (roll < 830) {
+            op = "probe";
+            const Vpn vpn = pickVpn();
+            const Pcid pcid = pickPcid();
+            Pfn a = 0, b = 0;
+            ASSERT_EQ(tlb.probe(vpn, pcid), ref.probe(vpn, pcid))
+                << op << " step " << step;
+            ASSERT_EQ(tlb.probeHuge(vpn, pcid), ref.probeHuge(vpn, pcid))
+                << op << " step " << step;
+            ASSERT_EQ(tlb.probePfn(vpn, pcid, &a),
+                      ref.probePfn(vpn, pcid, &b))
+                << op << " step " << step;
+            ASSERT_EQ(a, b) << op << " step " << step;
+            ASSERT_EQ(tlb.probeHugePfn(vpn, pcid, &a),
+                      ref.probeHugePfn(vpn, pcid, &b))
+                << op << " step " << step;
+            ASSERT_EQ(a, b) << op << " step " << step;
+        } else if (roll < 900) {
+            op = "invalidatePage";
+            const Vpn vpn = pickVpn();
+            const Pcid pcid = pickPcid();
+            tlb.invalidatePage(vpn, pcid);
+            ref.invalidatePage(vpn, pcid);
+        } else {
+            // Narrow: one to eight pages, below a full tier's
+            // occupancy (the per-VPN probe path) unless the tier is
+            // nearly empty or tiny.
+            op = "invalidateRange(narrow)";
+            const Vpn start = pickVpn();
+            const Vpn end = start + rng.nextBounded(8);
+            const Pcid pcid = pickPcid();
+            tlb.invalidateRange(start, end, pcid);
+            ref.invalidateRange(start, end, pcid);
+        }
+        ASSERT_EQ(got.events, want.events) << op << " step " << step;
+        ASSERT_EQ(tlb.size(), ref.size()) << op << " step " << step;
+        ASSERT_EQ(tlb.hugeSize(), ref.hugeSize()) << op << " step " << step;
+        ASSERT_EQ(tlb.l1Hits(), ref.l1Hits()) << op << " step " << step;
+        ASSERT_EQ(tlb.l2Hits(), ref.l2Hits()) << op << " step " << step;
+        ASSERT_EQ(tlb.misses(), ref.misses()) << op << " step " << step;
+        ASSERT_EQ(tlb.flushes(), ref.flushes()) << op << " step " << step;
+        if (op == "insert" || op == "lookup")
+            evictions += std::count_if(
+                want.events.begin(), want.events.end(),
+                [](const EventLog::Event &e) { return !e.insert; });
+        max_base = std::max(max_base, ref.size() - ref.hugeSize());
+        got.events.clear();
+        want.events.clear();
+    }
+    // The stream must have reached the interesting states: both tiers
+    // full, L2 promotions, and L2 evictions out of the TLB.
+    EXPECT_EQ(max_base, total);
+    EXPECT_GT(ref.l2Hits(), 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(ref.flushes(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TlbDifferential,
+    ::testing::Values(DiffParam{64, 1024, 32, 1},
+                      DiffParam{64, 1024, 32, 2},
+                      DiffParam{64, 512, 32, 3},
+                      DiffParam{64, 512, 32, 4},
+                      DiffParam{2, 3, 1, 5}, DiffParam{2, 3, 1, 6},
+                      DiffParam{2, 3, 1, 7}));
 
 } // namespace
 } // namespace latr

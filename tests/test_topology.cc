@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "topo/machine_config.hh"
 #include "topo/topology.hh"
 
@@ -51,6 +53,22 @@ TEST(Topology, HopsAreSymmetric)
     for (CoreId a = 0; a < t.totalCores(); ++a)
         for (CoreId b = 0; b < t.totalCores(); ++b)
             EXPECT_EQ(t.hops(a, b), t.hops(b, a));
+}
+
+TEST(Topology, CachedMaxHopsIsPairwiseMaximum)
+{
+    // maxHops() is computed once at construction; it must equal the
+    // largest socketHops() over every socket pair.
+    for (unsigned sockets : {1u, 2u, 3u, 4u, 8u}) {
+        NumaTopology t(sockets, 2);
+        unsigned pairwise = 0;
+        for (NodeId a = 0; a < sockets; ++a)
+            for (NodeId b = 0; b < sockets; ++b)
+                pairwise = std::max(pairwise, t.socketHops(a, b));
+        EXPECT_EQ(t.maxHops(), pairwise) << sockets << " sockets";
+    }
+    EXPECT_EQ(NumaTopology(1, 4).maxHops(), 0u);
+    EXPECT_EQ(NumaTopology(3, 4).maxHops(), 2u); // sockets 1 and 2
 }
 
 TEST(TopologyDeath, OutOfRangeCorePanics)
