@@ -6,8 +6,8 @@
 //   latrsim_cli --workload=microbench --policy=linux --cores=16
 //   latrsim_cli --workload=parsec --benchmark=dedup --policy=abis
 //   latrsim_cli --workload=numa --benchmark=graph500 --policy=latr
-//   latrsim_cli --workload=serve --arrival-rate=200000 \
-//       --duration-ticks=120000000 --record=run.latrace
+//   latrsim_cli --workload=serve --arrival-rate=200000
+//       --duration-ticks=120000000 --record=run.latrace   (one line)
 //   latrsim_cli --workload=serve --replay=run.latrace --policy=linux
 //
 // Prints the headline metrics plus the machine's stat dump with

@@ -24,7 +24,7 @@ setsFor(std::uint64_t size_bytes, unsigned ways, unsigned line_bytes)
 LlcCache::LlcCache(std::uint64_t size_bytes, unsigned ways,
                    unsigned line_bytes)
     : ways_(ways), lineBytes_(line_bytes),
-      sets_(setsFor(size_bytes, ways, line_bytes)),
+      sets_(setsFor(size_bytes, ways, line_bytes)), rowOf_(sets_),
       lines_(static_cast<std::size_t>(sets_) * ways_)
 {
 }
@@ -41,8 +41,11 @@ LlcCache::setOf(std::uint64_t line_addr) const
 bool
 LlcCache::access(std::uint64_t line_addr, CacheAccessOrigin origin)
 {
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+    // A set's first access hands it the next row (first-touch order).
+    std::uint32_t &row = rowOf_[setOf(line_addr)];
+    if (row == 0)
+        row = ++nextRow_;
+    Line *base = &lines_[static_cast<std::size_t>(row - 1) * ways_];
     ++useClock_;
 
     // Hits are partition-agnostic; only fills honor the CAT mask.
@@ -92,8 +95,10 @@ LlcCache::setLatrReservedWays(unsigned ways)
 bool
 LlcCache::probe(std::uint64_t line_addr) const
 {
-    const unsigned set = setOf(line_addr);
-    const Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+    const std::uint32_t row = rowOf_[setOf(line_addr)];
+    if (row == 0)
+        return false; // never accessed; holds no row
+    const Line *base = &lines_[static_cast<std::size_t>(row - 1) * ways_];
     for (unsigned w = 0; w < ways_; ++w)
         if (base[w].valid() && base[w].tag == line_addr)
             return true;

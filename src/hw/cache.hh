@@ -9,9 +9,14 @@
  *
  * The line array is one zero-filled allocation (ZeroedArray) in which
  * an all-zero line is invalid, so construction does no
- * initialisation pass and the OS backs a set's memory only when the
- * set is first touched: a run pays for the sets it uses, not for the
- * cache's capacity.
+ * initialisation pass. Sets do not own fixed rows of it: a set is
+ * given the next free row the first time it is accessed (rowOf_), so
+ * the rows of the sets a run touches sit together at the front of
+ * the array. The OS backs only those rows' pages, and a hit reads
+ * host memory that is dense instead of scattered by the set hash: a
+ * run pays for the sets it uses, not for the cache's capacity. Set
+ * choice, hits, victims and stats do not depend on where a set's
+ * ways are stored.
  */
 
 #ifndef LATR_HW_CACHE_HH_
@@ -105,7 +110,10 @@ class LlcCache
     unsigned lineBytes_;
     unsigned sets_;
     std::uint64_t useClock_ = 0;
-    ZeroedArray<Line> lines_; // sets_ * ways_, row-major by set
+    /** Per set: 1 + its row in lines_, or 0 before its first access. */
+    ZeroedArray<std::uint32_t> rowOf_;
+    std::uint32_t nextRow_ = 0; // rows handed out so far
+    ZeroedArray<Line> lines_;   // sets_ rows of ways_ lines each
 
     std::uint64_t hits_[3] = {0, 0, 0};
     std::uint64_t misses_[3] = {0, 0, 0};

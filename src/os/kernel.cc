@@ -121,12 +121,9 @@ Kernel::switchToTask(Task *task)
 void
 Kernel::noteRequestComplete(CoreId core, MmId mm, Duration latency)
 {
-    if (!serveRequestsCtr_) {
-        serveRequestsCtr_ = &stats_.counter("serve.requests");
-        serveLatencyDist_ = &stats_.distribution("serve.request_ns");
-    }
-    serveRequestsCtr_->inc();
-    serveLatencyDist_->sample(static_cast<double>(latency));
+    stats_.cachedCounter(serveRequestsCtr_, "serve.requests").inc();
+    stats_.cachedDistribution(serveLatencyDist_, "serve.request_ns")
+        .sample(static_cast<double>(latency));
     if (trace_)
         trace_->instant("serve", "request.done", queue_.now(), core,
                         mm, latency);
@@ -182,7 +179,7 @@ Kernel::mmap(Task *task, std::uint64_t len, std::uint8_t prot,
     res.addr = mm.mmapRegion(len, prot, file_backed);
     res.ok = res.addr != kAddrInvalid;
     res.latency = (at + hold) - now;
-    stats_.counter("sys.mmap").inc();
+    stats_.cachedCounter(sysMmapCtr_, "sys.mmap").inc();
     return res;
 }
 
@@ -200,7 +197,7 @@ Kernel::mmapHuge(Task *task, std::uint64_t len, std::uint8_t prot)
     res.addr = mm.mmapHugeRegion(len, prot);
     res.ok = res.addr != kAddrInvalid;
     res.latency = (at + hold) - now;
-    stats_.counter("sys.mmap_huge").inc();
+    stats_.cachedCounter(sysMmapHugeCtr_, "sys.mmap_huge").inc();
     return res;
 }
 
@@ -269,10 +266,10 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.munmap").inc();
-    stats_.distribution("munmap.latency_ns")
+    stats_.cachedCounter(sysMunmapCtr_, "sys.munmap").inc();
+    stats_.cachedDistribution(munmapLatencyDist_, "munmap.latency_ns")
         .sample(static_cast<double>(res.latency));
-    stats_.distribution("munmap.shootdown_ns")
+    stats_.cachedDistribution(munmapShootdownDist_, "munmap.shootdown_ns")
         .sample(static_cast<double>(pol));
     traceSyscall("sys.munmap", now, res, core, mm.id(), npages);
     return res;
@@ -281,7 +278,8 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
 SyscallResult
 Kernel::madvise(Task *task, Addr addr, std::uint64_t len)
 {
-    return madviseCommon(task, addr, len, "sys.madvise", "madvise");
+    return madviseCommon(task, addr, len, sysMadviseCtr_, "sys.madvise",
+                         "madvise");
 }
 
 SyscallResult
@@ -294,13 +292,14 @@ Kernel::madviseFree(Task *task, Addr addr, std::uint64_t len)
     // through the policy — lazily under LATR. Distinct counter and
     // trace name so free-then-reuse traffic is visible next to
     // plain madvise in dumps.
-    return madviseCommon(task, addr, len, "sys.madvise_free",
-                         "madvise_free");
+    return madviseCommon(task, addr, len, sysMadviseFreeCtr_,
+                         "sys.madvise_free", "madvise_free");
 }
 
 SyscallResult
 Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
-                      const char *counter, const char *op)
+                      Counter *&counter_slot, const char *counter,
+                      const char *op)
 {
     SyscallResult res;
     AddressSpace &mm = task->mm();
@@ -356,7 +355,7 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter(counter).inc();
+    stats_.cachedCounter(counter_slot, counter).inc();
     traceSyscall(counter, now, res, core, mm.id(), npages);
     return res;
 }
@@ -398,7 +397,7 @@ Kernel::mprotect(Task *task, Addr addr, std::uint64_t len,
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.mprotect").inc();
+    stats_.cachedCounter(sysMprotectCtr_, "sys.mprotect").inc();
     traceSyscall("sys.mprotect", now, res, core, mm.id(), npages);
     return res;
 }
@@ -443,7 +442,7 @@ Kernel::mremap(Task *task, Addr old_addr, std::uint64_t old_len,
     res.addr = new_addr;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.mremap").inc();
+    stats_.cachedCounter(sysMremapCtr_, "sys.mremap").inc();
     traceSyscall("sys.mremap", now, res, core, mm.id(), npages);
     return res;
 }
@@ -483,7 +482,7 @@ Kernel::markCow(Task *task, Addr addr, std::uint64_t len)
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.markcow").inc();
+    stats_.cachedCounter(sysMarkCowCtr_, "sys.markcow").inc();
     traceSyscall("sys.markcow", now, res, core, mm.id(), npages);
     return res;
 }

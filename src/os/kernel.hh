@@ -201,9 +201,12 @@ class Kernel
     /** CoW write-fault resolution (used via TouchHooks). */
     Duration breakCow(Task *task, Vpn vpn);
 
-    /** Shared body of madvise() / madviseFree(). */
+    /**
+     * Shared body of madvise() / madviseFree(); @p counter_slot caches
+     * the stat named @p counter (StatRegistry::cachedCounter).
+     */
     SyscallResult madviseCommon(Task *task, Addr addr,
-                                std::uint64_t len,
+                                std::uint64_t len, Counter *&counter_slot,
                                 const char *counter, const char *op);
 
     /** Emit a [now, now+latency] span for a completed syscall. */
@@ -244,9 +247,20 @@ class Kernel
     Task *touchTask_ = nullptr;
 
     /**
-     * Serving-subsystem stats, resolved on first request completion
-     * so machines that never serve keep serve.* out of their dumps.
+     * Syscall-path and serving stats, resolved on first use
+     * (StatRegistry::cachedCounter) so a machine that never makes a
+     * call keeps its stats out of the dump.
      */
+    Counter *sysMmapCtr_ = nullptr;
+    Counter *sysMmapHugeCtr_ = nullptr;
+    Counter *sysMunmapCtr_ = nullptr;
+    Counter *sysMadviseCtr_ = nullptr;
+    Counter *sysMadviseFreeCtr_ = nullptr;
+    Counter *sysMprotectCtr_ = nullptr;
+    Counter *sysMremapCtr_ = nullptr;
+    Counter *sysMarkCowCtr_ = nullptr;
+    Distribution *munmapLatencyDist_ = nullptr;
+    Distribution *munmapShootdownDist_ = nullptr;
     Counter *serveRequestsCtr_ = nullptr;
     Distribution *serveLatencyDist_ = nullptr;
 

@@ -93,6 +93,28 @@ class StatRegistry
     /** Get (creating if needed) the distribution named @p name. */
     Distribution &distribution(const std::string &name);
 
+    /**
+     * The counter named @p name, looked up on the first call only and
+     * kept in @p slot (a caller's member, initially null) for later
+     * calls: a hot path pays a null check instead of a string-keyed
+     * map lookup. Binding on first use, not in a constructor, keeps a
+     * stat that never fires out of dump().
+     */
+    Counter &cachedCounter(Counter *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &counter(name);
+        return *slot;
+    }
+
+    /** cachedCounter() for a distribution. */
+    Distribution &cachedDistribution(Distribution *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &distribution(name);
+        return *slot;
+    }
+
     /** True if a counter named @p name exists. */
     bool hasCounter(const std::string &name) const;
 

@@ -31,7 +31,8 @@ BarrelfishPolicy::messageShootdown(AddressSpace *mm, CoreId initiator,
                                    Vpn end_vpn, std::uint64_t npages,
                                    Tick start)
 {
-    env_.stats->counter("coh.msg_shootdowns").inc();
+    env_.stats->cachedCounter(msgShootdownsCtr_, "coh.msg_shootdowns")
+        .inc();
 
     const Pcid pcid = mm->pcid();
     const bool full_flush = npages >= cost().fullFlushThreshold;

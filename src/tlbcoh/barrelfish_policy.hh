@@ -49,6 +49,7 @@ class BarrelfishPolicy : public TlbCoherencePolicy
                               Tick start);
 
     Rng rng_;
+    Counter *msgShootdownsCtr_ = nullptr; // bound on first use
 };
 
 } // namespace latr

@@ -128,8 +128,9 @@ TEST(LazyCacheCheck, OverflowBurstStaysEquivalentToo)
     for (const RunResult &run : runs) {
         EXPECT_EQ(run.stalenessViolations, 0u) << run.firstStaleness;
         EXPECT_EQ(run.invariantViolations, 0u) << run.firstInvariant;
-        if (run.policy == PolicyKind::Latr)
+        if (run.policy == PolicyKind::Latr) {
             EXPECT_GT(run.latrFallbackIpis, 0u);
+        }
     }
 }
 
