@@ -76,8 +76,8 @@ runCase(PolicyKind policy, bool pcid)
     const std::uint64_t ws_pages = 48; // fits both processes' TLBs
     std::vector<std::unique_ptr<CoreActor>> actors;
     for (int p = 0; p < 2; ++p) {
-        Process *proc =
-            kernel.createProcess("p" + std::to_string(p));
+        Process *proc = kernel.createProcess(
+            std::string("p").append(std::to_string(p)));
         Task *first = kernel.spawnTask(proc, 0);
         SyscallResult m = kernel.mmap(
             first, ws_pages * kPageSize, kProtRead | kProtWrite);

@@ -141,8 +141,8 @@ runScript(const Script &script, PolicyKind policy,
 
     std::vector<Process *> processes;
     for (unsigned p = 0; p < procs; ++p)
-        processes.push_back(
-            kernel.createProcess("p" + std::to_string(p)));
+        processes.push_back(kernel.createProcess(
+            std::string("p").append(std::to_string(p))));
     // One task per core (no core ever idles, so scheduler ticks —
     // and with them LATR's sweeps — keep firing everywhere); task i
     // belongs to process i % procs.

@@ -1,28 +1,28 @@
 #include "hw/tlb.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
 namespace latr
 {
 
-Tlb::SlotArray::SlotArray(unsigned l1, unsigned l2)
+Tlb::SlotArray::SlotArray(unsigned l1, unsigned l2) : capacity_(l1 + l2)
 {
-    const unsigned capacity = l1 + l2;
-    if (l1 == 0 || capacity >= kNil)
+    if (l1 == 0 || capacity_ >= kNil)
         fatal("TLB array capacity %u+%u out of range", l1, l2);
     tiers_[0].capacity = l1;
     tiers_[1].capacity = l2;
-    std::uint32_t table_size = 1;
-    while (table_size < 2 * capacity) // ≤50% load
-        table_size <<= 1;
-    mask_ = table_size - 1;
-    table_.assign(table_size, kNil);
-    slots_.resize(capacity);
-    for (unsigned i = 0; i < capacity; ++i)
-        slots_[i].next = static_cast<std::uint16_t>(
-            i + 1 < capacity ? i + 1 : kNil);
-    freeHead_ = 0;
+    std::uint32_t full_cells = 1;
+    while (full_cells < 2 * capacity_) // ≤50% load when full
+        full_cells <<= 1;
+    // Reserve everything the array can ever hold, so growth never
+    // reallocates, but write only the starting index.
+    slots_.reserve(capacity_);
+    table_.reserve(full_cells);
+    table_.assign(std::min(full_cells, kMinIndexCells), kNil);
+    mask_ = static_cast<std::uint32_t>(table_.size() - 1);
 }
 
 std::uint16_t
@@ -67,6 +67,26 @@ Tlb::SlotArray::linkFront(std::uint16_t i, unsigned tier)
         t.tail = i;
     t.head = i;
     ++t.size;
+}
+
+void
+Tlb::SlotArray::tablePlace(std::uint16_t slot)
+{
+    std::uint32_t pos = hashOf(slots_[slot].entry.key) & mask_;
+    while (table_[pos] != kNil)
+        pos = (pos + 1) & mask_;
+    table_[pos] = slot;
+}
+
+void
+Tlb::SlotArray::growIndex()
+{
+    // Within the reserved capacity: assign() never reallocates.
+    table_.assign(2 * table_.size(), kNil);
+    mask_ = static_cast<std::uint32_t>(table_.size() - 1);
+    for (const Tier &t : tiers_)
+        for (std::uint16_t i = t.head; i != kNil; i = slots_[i].next)
+            tablePlace(i);
 }
 
 void
@@ -128,19 +148,25 @@ bool
 Tlb::SlotArray::insert(const Entry &e, Entry *victim_out)
 {
     bool had_victim = false;
-    if (size_ == slots_.size()) {
+    if (size_ == capacity_) {
         const Tier &last = tiers_[tiers_[1].capacity != 0 ? 1 : 0];
         *victim_out = slots_[last.tail].entry;
         had_victim = true;
         erase(last.tail);
     }
-    const std::uint16_t slot = freeHead_;
-    freeHead_ = slots_[slot].next;
+    // The index holds at least twice the entries, so one doubling
+    // suffices, and a full array never grows it past its full size.
+    if (2 * (size_ + 1) > table_.size())
+        growIndex();
+    std::uint16_t slot = freeHead_;
+    if (slot != kNil) {
+        freeHead_ = slots_[slot].next;
+    } else {
+        slot = static_cast<std::uint16_t>(slots_.size());
+        slots_.emplace_back();
+    }
     slots_[slot].entry = e;
-    std::uint32_t pos = hashOf(e.key) & mask_;
-    while (table_[pos] != kNil)
-        pos = (pos + 1) & mask_;
-    table_[pos] = slot;
+    tablePlace(slot);
     ++size_;
     linkFront(slot, 0);
     spillOverflow();

@@ -9,14 +9,16 @@
  * reuse invariant.
  *
  * L1 and L2 are two exclusive tiers of one fixed-capacity slot array
- * allocated at construction, with one open-addressing (linear probe,
- * backward-shift deletion) index table over both. Each tier keeps
- * its own true-LRU order as an intrusive prev/next chain through the
- * slots. An L2 hit is one probe plus two chain relinks: promotion
- * and the L1 victim's spill change which tier holds a key, never
- * where the index finds it. The 2 MiB array is the same structure
- * with one tier. The hottest simulator path performs zero heap
- * allocation after the TLB is built.
+ * reserved at construction, with one open-addressing (linear probe,
+ * backward-shift deletion) index table over both. Slots and index
+ * cells are written as entries arrive, not when the TLB is built:
+ * most cores of a large machine cache only a handful of entries.
+ * Each tier keeps its own true-LRU order as an intrusive prev/next
+ * chain through the slots. An L2 hit is one probe plus two chain
+ * relinks: promotion and the L1 victim's spill change which tier
+ * holds a key, never where the index finds it. The 2 MiB array is
+ * the same structure with one tier. The hottest simulator path
+ * performs zero heap allocation after the TLB is built.
  */
 
 #ifndef LATR_HW_TLB_HH_
@@ -185,6 +187,26 @@ class Tlb
     std::uint64_t flushes() const { return flushes_; }
     /// @}
 
+    /**
+     * Index cells a fresh array starts with (fewer if its full index
+     * is smaller). The index doubles before its load passes 50%.
+     */
+    static constexpr std::uint32_t kMinIndexCells = 16;
+
+    /// @name Footprint (what the arrays have written so far)
+    /// @{
+    /** Slot records ever handed out, both arrays. */
+    std::size_t
+    slotsTouched() const
+    {
+        return base_.slotsTouched() + huge_.slotsTouched();
+    }
+    /** Cells of the 4 KiB array's index. */
+    std::size_t indexCells() const { return base_.indexCells(); }
+    /** Cells of the 2 MiB array's index. */
+    std::size_t hugeIndexCells() const { return huge_.indexCells(); }
+    /// @}
+
   private:
     struct Key
     {
@@ -210,8 +232,17 @@ class Tlb
      * one slot array and one linear-probe index table (≤50% load)
      * over every tier, plus an intrusive MRU→LRU chain and a count
      * per tier. A key lives in at most one tier, so moving an entry
-     * between tiers relinks chains and never touches the index. No
-     * member allocates after the constructor.
+     * between tiers relinks chains and never touches the index.
+     *
+     * The constructor reserves both vectors' full capacity and
+     * writes almost nothing: never-used slots come from a bump
+     * cursor (the end of slots_), the free list holds only slots
+     * that erase() or clear() released, and the index starts at
+     * kMinIndexCells and doubles (rehashing the live slots from the
+     * tier chains) before an insert would push its load past 50%.
+     * It never shrinks, and it stops at the smallest power of two
+     * holding the full capacity at ≤50% load. No member allocates
+     * after the constructor.
      *
      * The 4 KiB arrays are tier 0 (L1) and tier 1 (L2): new entries
      * enter tier 0, tier 0's LRU entry spills to tier 1's MRU end,
@@ -289,6 +320,9 @@ class Tlb
         /** Erase every live entry; O(size), not O(capacity). */
         void clear();
 
+        std::size_t slotsTouched() const { return slots_.size(); }
+        std::size_t indexCells() const { return table_.size(); }
+
       private:
         struct Slot
         {
@@ -325,14 +359,21 @@ class Tlb
         /** Move tier 0's LRU slot to tier 1's MRU end if over capacity. */
         void spillOverflow();
 
+        /** Point the first empty cell on slot @p i's probe path at it. */
+        void tablePlace(std::uint16_t i);
+
         /** Erase the table cell pointing at slot @p i (backward shift). */
         void tableErase(std::uint16_t i);
+
+        /** Double the index and re-place every live slot. */
+        void growIndex();
 
         Tier tiers_[2]; // tier 1 has capacity 0 in a one-tier array
         std::uint32_t mask_; // table size - 1 (power of two)
         std::size_t size_ = 0;
+        std::size_t capacity_;
         std::uint16_t freeHead_ = kNil;
-        std::vector<Slot> slots_;
+        std::vector<Slot> slots_; // slots handed out; capacity_ reserved
         std::vector<std::uint16_t> table_; // slot index or kNil
     };
 

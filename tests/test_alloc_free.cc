@@ -176,6 +176,26 @@ TEST(AllocFree, TlbFlushAllSteadyState)
     EXPECT_EQ(tlb.flushes(), 4001u);
 }
 
+TEST(AllocFree, TlbGrowthFromFreshAllocatesNothing)
+{
+    // A fresh TLB starts with a small index and hands out slots as
+    // entries arrive; the constructor reserved the full capacity, so
+    // filling it past every index doubling must not allocate.
+    Tlb tlb(0, 64, 1024, 32);
+    const std::uint64_t before = allocsNow();
+    for (int round = 0; round < 3; ++round) {
+        for (Vpn v = 0; v < 1200; ++v)
+            tlb.insert(v, v + round, 1 + v % 2);
+        for (Vpn b = 0; b < 40 * kHugePageSpan; b += kHugePageSpan)
+            tlb.insertHuge(b, b + round, 1);
+        tlb.invalidatePcid(2);
+        tlb.flushAll();
+    }
+    EXPECT_EQ(allocsNow() - before, 0u)
+        << "Tlb index growth or slot hand-out allocated";
+    EXPECT_EQ(tlb.indexCells(), 4096u);
+}
+
 TEST(AllocFree, TlbPromotionWithCheckerSteadyState)
 {
     // The lazycache read pattern: a working set larger than L1 but

@@ -506,7 +506,8 @@ TEST(LatrElision, ActiveMasksStayInsidePendingSweepers)
         std::vector<std::vector<Task *>> threads(kPublishers);
         std::vector<Addr> region(kPublishers);
         for (unsigned p = 0; p < kPublishers; ++p) {
-            Process *proc = kernel.createProcess("p" + std::to_string(p));
+            Process *proc = kernel.createProcess(
+                std::string("p").append(std::to_string(p)));
             for (CoreId off : {0u, 5u, 11u, 17u})
                 threads[p].push_back(
                     kernel.spawnTask(proc, (p * 19 + off) % cores));

@@ -489,6 +489,88 @@ TEST_P(TlbFillSweep, SizeNeverExceedsConfiguredCapacity)
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbFillSweep,
                          ::testing::Values(2u, 4u, 64u));
 
+// --- A TLB writes slots and index cells as entries arrive.
+
+/** The index of an array holding @p entries: ≤50% load, ≥ minimum. */
+std::size_t
+expectedIndexCells(std::size_t entries, std::size_t capacity)
+{
+    std::size_t full = 1;
+    while (full < 2 * capacity)
+        full <<= 1;
+    std::size_t cells = std::min<std::size_t>(full, Tlb::kMinIndexCells);
+    while (cells < 2 * entries)
+        cells <<= 1;
+    return cells;
+}
+
+TEST(TlbFresh, UnusedTlbTouchesNoSlotAndHoldsTheMinimumIndex)
+{
+    for (const auto &[l1, l2, huge] :
+         {std::tuple{64u, 1024u, 32u}, std::tuple{64u, 512u, 32u},
+          std::tuple{2u, 3u, 1u}}) {
+        Tlb tlb(0, l1, l2, huge);
+        // Misses, probes and flushes of an empty TLB write nothing.
+        EXPECT_EQ(tlb.lookup(7, 0), TlbResult::Miss);
+        EXPECT_FALSE(tlb.probe(7, 0));
+        tlb.invalidateRange(0, 100, 0);
+        tlb.flushAll();
+        EXPECT_EQ(tlb.slotsTouched(), 0u) << l1 << "/" << l2;
+        EXPECT_EQ(tlb.indexCells(), expectedIndexCells(0, l1 + l2))
+            << l1 << "/" << l2;
+        EXPECT_EQ(tlb.hugeIndexCells(), expectedIndexCells(0, huge))
+            << huge;
+    }
+    EXPECT_EQ(Tlb(0, 64, 1024, 32).indexCells(), Tlb::kMinIndexCells);
+}
+
+TEST(TlbFresh, IndexDoublesBeforeItsLoadPassesHalf)
+{
+    const unsigned l1 = 64, l2 = 1024, huge = 32;
+    Tlb tlb(0, l1, l2, huge);
+    for (unsigned n = 1; n <= l1 + l2; ++n) {
+        tlb.insert(n, n, n % 3);
+        ASSERT_EQ(tlb.indexCells(), expectedIndexCells(n, l1 + l2))
+            << n << " entries";
+        ASSERT_GE(tlb.indexCells(), 2u * n);
+        ASSERT_EQ(tlb.slotsTouched(), n);
+    }
+    EXPECT_EQ(tlb.indexCells(), 4096u); // 1088 entries at ≤50% load
+    // Every doubling re-placed both tiers' entries.
+    for (unsigned n = 1; n <= l1 + l2; ++n)
+        ASSERT_TRUE(tlb.probe(n, n % 3)) << n;
+    for (unsigned n = 1; n <= huge; ++n) {
+        tlb.insertHuge(n * kHugePageSpan, n, 0);
+        ASSERT_EQ(tlb.hugeIndexCells(), expectedIndexCells(n, huge))
+            << n << " huge entries";
+        ASSERT_GE(tlb.hugeIndexCells(), 2u * n);
+    }
+    EXPECT_EQ(tlb.hugeIndexCells(), 64u);
+    // A full TLB evicts instead of growing.
+    tlb.insert(5000, 1, 0);
+    tlb.insertHuge(5000 * kHugePageSpan, 1, 0);
+    EXPECT_EQ(tlb.indexCells(), 4096u);
+    EXPECT_EQ(tlb.hugeIndexCells(), 64u);
+    EXPECT_EQ(tlb.slotsTouched(), l1 + l2 + huge);
+}
+
+TEST(TlbFresh, ReleasedSlotsAreReusedBeforeNewOnes)
+{
+    Tlb tlb(0, 64, 1024, 32);
+    for (Vpn v = 0; v < 40; ++v)
+        tlb.insert(v, v, 1);
+    tlb.flushAll();
+    for (Vpn v = 100; v < 130; ++v)
+        tlb.insert(v, v, 1);
+    tlb.invalidateRange(100, 109, 1);
+    for (Vpn v = 200; v < 220; ++v)
+        tlb.insert(v, v, 1);
+    EXPECT_EQ(tlb.slotsTouched(), 40u);
+    EXPECT_EQ(tlb.size(), 40u);
+    // The index never shrinks: it still holds the 40-entry peak.
+    EXPECT_EQ(tlb.indexCells(), 128u);
+}
+
 // --- Differential test: the shared-index TLB against the two-level
 // --- TLB it replaced, op for op.
 
@@ -1193,6 +1275,121 @@ TEST_P(TlbDifferential, MatchesTwoLevelTlbOpForOp)
     EXPECT_GT(ref.l2Hits(), 0u);
     EXPECT_GT(evictions, 0u);
     EXPECT_GT(ref.flushes(), 0u);
+}
+
+TEST_P(TlbDifferential, FillsPastEveryIndexDoublingThenFlushesAndRefills)
+{
+    const auto [l1, l2, huge, seed] = GetParam();
+    Tlb tlb(3, l1, l2, huge);
+    RefTlb ref(3, l1, l2, huge);
+    EventLog got;
+    EventLog want;
+    tlb.setListener(&got);
+    ref.setListener(&want);
+    Rng rng(seed);
+    const unsigned total = l1 + l2;
+    const Vpn huge_first = hugeBaseOf(4 * total) + kHugePageSpan;
+    // Every index size each array passes through, in order.
+    std::vector<std::size_t> sizes{tlb.indexCells()};
+    std::vector<std::size_t> huge_sizes{tlb.hugeIndexCells()};
+
+    auto same = [&](const char *op, unsigned at) {
+        ASSERT_EQ(got.events, want.events) << op << " " << at;
+        ASSERT_EQ(tlb.size(), ref.size()) << op << " " << at;
+        ASSERT_EQ(tlb.hugeSize(), ref.hugeSize()) << op << " " << at;
+        ASSERT_EQ(tlb.l1Hits(), ref.l1Hits()) << op << " " << at;
+        ASSERT_EQ(tlb.l2Hits(), ref.l2Hits()) << op << " " << at;
+        ASSERT_EQ(tlb.misses(), ref.misses()) << op << " " << at;
+        ASSERT_EQ(tlb.flushes(), ref.flushes()) << op << " " << at;
+        got.events.clear();
+        want.events.clear();
+    };
+    auto lookupBoth = [&](Vpn vpn, Pcid pcid, const char *op) {
+        Pfn a = 0, b = 0;
+        bool w_a = false, w_b = false, h_a = false, h_b = false;
+        ASSERT_EQ(tlb.lookup(vpn, pcid, &a, &w_a, &h_a),
+                  ref.lookup(vpn, pcid, &b, &w_b, &h_b))
+            << op << " lookup " << vpn;
+        ASSERT_EQ(a, b) << op << " lookup " << vpn;
+        ASSERT_EQ(w_a, w_b) << op << " lookup " << vpn;
+        ASSERT_EQ(h_a, h_b) << op << " lookup " << vpn;
+    };
+    auto pcidOf = [](Vpn vpn) { return static_cast<Pcid>(1 + vpn % 2); };
+    // One key at a time: pages 0.. over two PCIDs, with an occasional
+    // lookup of an older page (an L2 promotion once L1 is full), then
+    // the huge regions. @p extra keys past capacity evict.
+    auto fill = [&](unsigned round, unsigned extra) {
+        for (Vpn vpn = 0; vpn < total + extra; ++vpn) {
+            tlb.insert(vpn, 8 * vpn + round, pcidOf(vpn), true);
+            ref.insert(vpn, 8 * vpn + round, pcidOf(vpn), true);
+            if (tlb.indexCells() != sizes.back())
+                sizes.push_back(tlb.indexCells());
+            if (rng.nextBounded(4) == 0) {
+                const Vpn old = rng.nextBounded(vpn + 1);
+                ASSERT_NO_FATAL_FAILURE(lookupBoth(old, pcidOf(old), "fill"));
+            }
+            ASSERT_NO_FATAL_FAILURE(same("fill", vpn));
+        }
+        for (unsigned n = 0; n < huge + extra; ++n) {
+            const Vpn base = huge_first + n * kHugePageSpan;
+            tlb.insertHuge(base, 1'000'000 + base + round, n % 2, true);
+            ref.insertHuge(base, 1'000'000 + base + round, n % 2, true);
+            if (tlb.hugeIndexCells() != huge_sizes.back())
+                huge_sizes.push_back(tlb.hugeIndexCells());
+            ASSERT_NO_FATAL_FAILURE(same("fillHuge", n));
+        }
+    };
+    // Every key the fills use: an entry the index lost (say, in a
+    // rehash) shows up as a miss where the reference hits.
+    auto lookupAll = [&](const char *phase) {
+        for (Vpn vpn = 0; vpn < total + 8; ++vpn)
+            ASSERT_NO_FATAL_FAILURE(lookupBoth(vpn, pcidOf(vpn), phase));
+        for (unsigned n = 0; n < huge + 8; ++n) {
+            const Vpn vpn = huge_first + n * kHugePageSpan + 3;
+            ASSERT_EQ(tlb.probeHuge(vpn, n % 2), ref.probeHuge(vpn, n % 2))
+                << phase << " probeHuge " << n;
+        }
+        ASSERT_NO_FATAL_FAILURE(same(phase, 0));
+    };
+
+    // Up to full capacity: each array's index passes every doubling
+    // from its starting size to its full size, once.
+    ASSERT_NO_FATAL_FAILURE(fill(0, 0));
+    for (std::size_t i = 1; i < sizes.size(); ++i)
+        EXPECT_EQ(sizes[i], 2 * sizes[i - 1]);
+    for (std::size_t i = 1; i < huge_sizes.size(); ++i)
+        EXPECT_EQ(huge_sizes[i], 2 * huge_sizes[i - 1]);
+    EXPECT_EQ(sizes.back(), expectedIndexCells(total, total));
+    EXPECT_EQ(huge_sizes.back(), expectedIndexCells(huge, huge));
+    if (total > Tlb::kMinIndexCells / 2) { // the paper's shapes
+        EXPECT_GT(sizes.size(), 6u);
+    }
+    if (huge > Tlb::kMinIndexCells / 2) {
+        EXPECT_GT(huge_sizes.size(), 1u);
+    }
+    EXPECT_EQ(ref.size(), total + huge);
+    ASSERT_NO_FATAL_FAILURE(lookupAll("full"));
+
+    // Past capacity, then everything out and back in.
+    ASSERT_NO_FATAL_FAILURE(fill(1, 8));
+    ASSERT_NO_FATAL_FAILURE(lookupAll("overfull"));
+    tlb.flushAll();
+    ref.flushAll();
+    ASSERT_NO_FATAL_FAILURE(same("flushAll", 0));
+    EXPECT_EQ(tlb.size(), 0u);
+    ASSERT_NO_FATAL_FAILURE(lookupAll("flushed"));
+    ASSERT_NO_FATAL_FAILURE(fill(2, 0));
+    ASSERT_NO_FATAL_FAILURE(lookupAll("refilled"));
+    tlb.invalidatePcid(1);
+    ref.invalidatePcid(1);
+    ASSERT_NO_FATAL_FAILURE(same("invalidatePcid", 1));
+    ASSERT_NO_FATAL_FAILURE(lookupAll("pcid 1 gone"));
+    ASSERT_NO_FATAL_FAILURE(fill(3, 3));
+    ASSERT_NO_FATAL_FAILURE(lookupAll("refilled again"));
+    // Refills reuse released slots and the grown index.
+    EXPECT_EQ(tlb.slotsTouched(), total + huge);
+    EXPECT_EQ(tlb.indexCells(), expectedIndexCells(total, total));
+    EXPECT_EQ(tlb.hugeIndexCells(), expectedIndexCells(huge, huge));
 }
 
 INSTANTIATE_TEST_SUITE_P(
