@@ -168,23 +168,21 @@ SyscallResult
 Kernel::mmap(Task *task, std::uint64_t len, std::uint8_t prot,
              bool file_backed)
 {
-    SyscallResult res;
-    if (len == 0)
-        return res;
-    AddressSpace &mm = task->mm();
-    const Tick now = queue_.now();
-    const Duration hold = config_.cost.mmapFixed;
-    const Tick at =
-        mm.mmapSem().acquireWrite(now + config_.cost.syscallFixed, hold);
-    res.addr = mm.mmapRegion(len, prot, file_backed);
-    res.ok = res.addr != kAddrInvalid;
-    res.latency = (at + hold) - now;
-    stats_.cachedCounter(sysMmapCtr_, "sys.mmap").inc();
-    return res;
+    return mapOp(task, len, prot, file_backed, false, sysMmapCtr_,
+                 "sys.mmap");
 }
 
 SyscallResult
 Kernel::mmapHuge(Task *task, std::uint64_t len, std::uint8_t prot)
+{
+    return mapOp(task, len, prot, false, true, sysMmapHugeCtr_,
+                 "sys.mmap_huge");
+}
+
+SyscallResult
+Kernel::mapOp(Task *task, std::uint64_t len, std::uint8_t prot,
+              bool file_backed, bool huge, Counter *&counter_slot,
+              const char *counter)
 {
     SyscallResult res;
     if (len == 0)
@@ -194,92 +192,41 @@ Kernel::mmapHuge(Task *task, std::uint64_t len, std::uint8_t prot)
     const Duration hold = config_.cost.mmapFixed;
     const Tick at =
         mm.mmapSem().acquireWrite(now + config_.cost.syscallFixed, hold);
-    res.addr = mm.mmapHugeRegion(len, prot);
+    res.addr = huge ? mm.mmapHugeRegion(len, prot)
+                    : mm.mmapRegion(len, prot, file_backed);
     res.ok = res.addr != kAddrInvalid;
     res.latency = (at + hold) - now;
-    stats_.cachedCounter(sysMmapHugeCtr_, "sys.mmap_huge").inc();
+    stats_.cachedCounter(counter_slot, counter).inc();
     return res;
 }
 
 SyscallResult
 Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
 {
-    SyscallResult res;
     AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
     UnmapResult ur = mm.munmapRegion(addr, len);
-    if (!ur.ok) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
     // A huge mapping clears one PMD entry, not 512 PTEs.
-    const std::uint64_t npages =
-        ur.pages.size() + ur.hugePages.size() * kHugePageSpan;
-    const std::uint64_t pte_clears =
-        ur.pages.size() + ur.hugePages.size();
-    const Vpn s = pageOf(pageAlignDown(addr));
-    const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.vmaPerPage * pte_clears +
-                    config_.cost.pteClearPerPage * pte_clears +
-                    config_.cost.vmaPerResidentCore *
-                        mm.residencyMask().count();
-    base += localInvalidate(core, mm, s, e, npages);
-
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
-    FreeOpContext ctx;
-    ctx.mm = &mm;
-    ctx.initiator = core;
-    ctx.startVpn = s;
-    ctx.endVpn = e;
-    ctx.pages = std::move(ur.pages);
-    ctx.hugePages = std::move(ur.hugePages);
-    ctx.vaStart = pageAlignDown(addr);
-    ctx.vaEnd = pageAlignUp(addr + len);
-    ctx.syncRequested = sync;
-
-    // The policy consumes the per-page sharer info (ABIS) before it
-    // is forgotten.
-    std::vector<Vpn> unmapped;
-    unmapped.reserve(ctx.pages.size() + ctx.hugePages.size());
-    for (const auto &page : ctx.pages)
-        unmapped.push_back(page.first);
-    for (const auto &page : ctx.hugePages)
-        unmapped.push_back(page.first);
-    const Duration pol = policy_->onFreePages(std::move(ctx), shoot_at);
-    for (Vpn vpn : unmapped)
-        mm.clearSharers(vpn);
-    // Linux performs the shootdown under mmap_sem; LATR's 132 ns
-    // state save extends the hold negligibly.
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e,
-                     shoot_at + pol +
-                         policy_->stalenessContract().epochBound,
-                     "munmap");
-
-    res.ok = true;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    stats_.cachedCounter(sysMunmapCtr_, "sys.munmap").inc();
-    stats_.cachedDistribution(munmapLatencyDist_, "munmap.latency_ns")
-        .sample(static_cast<double>(res.latency));
-    stats_.cachedDistribution(munmapShootdownDist_, "munmap.shootdown_ns")
-        .sample(static_cast<double>(pol));
-    traceSyscall("sys.munmap", now, res, core, mm.id(), npages);
+    const std::uint64_t pte_clears = ur.pages.size() + ur.hugePages.size();
+    const CostModel &c = config_.cost;
+    const SyscallOp op{c.vmaPerPage * pte_clears +
+                           c.pteClearPerPage * pte_clears +
+                           c.vmaPerResidentCore * mm.residencyMask().count(),
+                       true, "sys.munmap", sysMunmapCtr_};
+    SyscallResult res = freeOp(task, addr, len, std::move(ur), op, sync);
+    if (res.ok) {
+        stats_.cachedDistribution(munmapLatencyDist_, "munmap.latency_ns")
+            .sample(static_cast<double>(res.latency));
+        stats_.cachedDistribution(munmapShootdownDist_,
+                                  "munmap.shootdown_ns")
+            .sample(static_cast<double>(res.shootdown));
+    }
     return res;
 }
 
 SyscallResult
 Kernel::madvise(Task *task, Addr addr, std::uint64_t len)
 {
-    return madviseCommon(task, addr, len, sysMadviseCtr_, "sys.madvise",
-                         "madvise");
+    return madviseOp(task, addr, len, sysMadviseCtr_, "sys.madvise");
 }
 
 SyscallResult
@@ -292,199 +239,161 @@ Kernel::madviseFree(Task *task, Addr addr, std::uint64_t len)
     // through the policy — lazily under LATR. Distinct counter and
     // trace name so free-then-reuse traffic is visible next to
     // plain madvise in dumps.
-    return madviseCommon(task, addr, len, sysMadviseFreeCtr_,
-                         "sys.madvise_free", "madvise_free");
+    return madviseOp(task, addr, len, sysMadviseFreeCtr_,
+                     "sys.madvise_free");
 }
 
 SyscallResult
-Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
-                      Counter *&counter_slot, const char *counter,
-                      const char *op)
+Kernel::madviseOp(Task *task, Addr addr, std::uint64_t len,
+                  Counter *&counter_slot, const char *counter)
 {
-    SyscallResult res;
-    AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
-    UnmapResult ur = mm.madviseRegion(addr, len);
-    if (!ur.ok) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages =
-        ur.pages.size() + ur.hugePages.size() * kHugePageSpan;
-    const std::uint64_t pte_clears =
-        ur.pages.size() + ur.hugePages.size();
-    const Vpn s = pageOf(pageAlignDown(addr));
-    const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.vmaPerPage * pte_clears +
-                    config_.cost.pteClearPerPage * pte_clears;
-    base += localInvalidate(core, mm, s, e, npages);
-
+    UnmapResult ur = task->mm().madviseRegion(addr, len);
+    const std::uint64_t pte_clears = ur.pages.size() + ur.hugePages.size();
+    const CostModel &c = config_.cost;
     // MADV_DONTNEED runs under mmap_sem held for *read*.
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireRead(t0, base);
-    const Tick shoot_at = lock_at + base;
-
-    FreeOpContext ctx;
-    ctx.mm = &mm;
-    ctx.initiator = core;
-    ctx.startVpn = s;
-    ctx.endVpn = e;
-    ctx.pages = std::move(ur.pages);
-    ctx.hugePages = std::move(ur.hugePages);
-    ctx.vaStart = 0; // VMA survives madvise; no VA to release
-    ctx.vaEnd = 0;
-
-    std::vector<Vpn> unmapped;
-    unmapped.reserve(ctx.pages.size() + ctx.hugePages.size());
-    for (const auto &page : ctx.pages)
-        unmapped.push_back(page.first);
-    for (const auto &page : ctx.hugePages)
-        unmapped.push_back(page.first);
-    const Duration pol = policy_->onFreePages(std::move(ctx), shoot_at);
-    for (Vpn vpn : unmapped)
-        mm.clearSharers(vpn);
-    noteInvalidation(mm, s, e,
-                     shoot_at + pol +
-                         policy_->stalenessContract().epochBound,
-                     op);
-
-    res.ok = true;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    stats_.cachedCounter(counter_slot, counter).inc();
-    traceSyscall(counter, now, res, core, mm.id(), npages);
-    return res;
+    const SyscallOp op{c.vmaPerPage * pte_clears +
+                           c.pteClearPerPage * pte_clears,
+                       false, counter, counter_slot};
+    return freeOp(task, addr, len, std::move(ur), op, false);
 }
 
 SyscallResult
 Kernel::mprotect(Task *task, Addr addr, std::uint64_t len,
                  std::uint8_t prot)
 {
-    SyscallResult res;
-    AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
-    UnmapResult ur = mm.mprotectRegion(addr, len, prot);
-    if (!ur.ok) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages = ur.pages.size();
-    const Vpn s = pageOf(pageAlignDown(addr));
-    const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.vmaPerPage * ur.spanned +
-                    config_.cost.pteClearPerPage * npages;
-    base += localInvalidate(core, mm, s, e, npages);
-
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
     // Permission changes must be synchronous under every policy
     // (table 1): stale writable entries are a correctness hazard.
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "mprotect");
-
-    res.ok = true;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    stats_.cachedCounter(sysMprotectCtr_, "sys.mprotect").inc();
-    traceSyscall("sys.mprotect", now, res, core, mm.id(), npages);
-    return res;
+    const UnmapResult ur = task->mm().mprotectRegion(addr, len, prot);
+    const CostModel &c = config_.cost;
+    const SyscallOp op{c.vmaPerPage * ur.spanned +
+                           c.pteClearPerPage * ur.pages.size(),
+                       true, "sys.mprotect", sysMprotectCtr_};
+    return syncOp(task, addr, len, ur, op);
 }
 
 SyscallResult
 Kernel::mremap(Task *task, Addr old_addr, std::uint64_t old_len,
                std::uint64_t new_len)
 {
-    SyscallResult res;
-    AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
-    UnmapResult moved;
-    const Addr new_addr =
-        mm.mremapRegion(old_addr, old_len, new_len, &moved);
-    if (new_addr == kAddrInvalid) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages = moved.pages.size();
-    const Vpn s = pageOf(pageAlignDown(old_addr));
-    const Vpn e = pageOf(pageAlignUp(old_addr + old_len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.vmaPerPage * moved.spanned +
-                    config_.cost.pteMapPerPage * npages;
-    base += localInvalidate(core, mm, s, e, npages);
-
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
     // Remap changes physical addresses of live translations —
     // synchronous everywhere (table 1).
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "mremap");
-
-    res.ok = true;
-    res.addr = new_addr;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    stats_.cachedCounter(sysMremapCtr_, "sys.mremap").inc();
-    traceSyscall("sys.mremap", now, res, core, mm.id(), npages);
+    UnmapResult moved;
+    const Addr new_addr =
+        task->mm().mremapRegion(old_addr, old_len, new_len, &moved);
+    const CostModel &c = config_.cost;
+    const SyscallOp op{c.vmaPerPage * moved.spanned +
+                           c.pteMapPerPage * moved.pages.size(),
+                       true, "sys.mremap", sysMremapCtr_};
+    SyscallResult res = syncOp(task, old_addr, old_len, moved, op);
+    if (res.ok)
+        res.addr = new_addr;
     return res;
 }
 
 SyscallResult
 Kernel::markCow(Task *task, Addr addr, std::uint64_t len)
 {
+    // Ownership changes are synchronous (table 1): every core must
+    // lose write access before sharing begins.
+    const UnmapResult ur = task->mm().markCowRegion(addr, len);
+    const SyscallOp op{config_.cost.pteClearPerPage * ur.pages.size(),
+                       true, "sys.markcow", sysMarkCowCtr_};
+    return syncOp(task, addr, len, ur, op);
+}
+
+SyscallResult
+Kernel::rejectedOp() const
+{
     SyscallResult res;
+    res.latency = config_.cost.syscallFixed;
+    return res;
+}
+
+Kernel::OpFrame
+Kernel::chargeOp(Task *task, Addr addr, std::uint64_t len,
+                 std::uint64_t npages, const SyscallOp &op)
+{
     AddressSpace &mm = task->mm();
     const CoreId core = task->core();
     const Tick now = queue_.now();
-
-    UnmapResult ur = mm.markCowRegion(addr, len);
-    if (!ur.ok) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages = ur.pages.size();
     const Vpn s = pageOf(pageAlignDown(addr));
     const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.pteClearPerPage * npages;
-    base += localInvalidate(core, mm, s, e, npages);
-
+    const Duration base = config_.cost.vmaFixed + op.cost +
+                          localInvalidate(core, mm, s, e, npages);
     const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
+    const Tick lock_at = op.write ? mm.mmapSem().acquireWrite(t0, base)
+                                  : mm.mmapSem().acquireRead(t0, base);
+    return OpFrame{mm, core, now, s, e, npages, lock_at + base};
+}
 
-    // Ownership changes are synchronous (table 1): every core must
-    // lose write access before sharing begins.
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "markcow");
+SyscallResult
+Kernel::completeOp(const OpFrame &f, const SyscallOp &op, Duration pol,
+                   Duration bound)
+{
+    // Linux performs the shootdown under mmap_sem; LATR's 132 ns
+    // state save extends the hold negligibly. A read hold is not
+    // extended.
+    if (op.write)
+        f.mm.mmapSem().extendWrite(pol);
+    // The oracle's op label is the name without its "sys." prefix.
+    noteInvalidation(f.mm, f.s, f.e, f.shootAt + pol + bound,
+                     op.name + sizeof("sys.") - 1);
 
+    SyscallResult res;
     res.ok = true;
     res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    stats_.cachedCounter(sysMarkCowCtr_, "sys.markcow").inc();
-    traceSyscall("sys.markcow", now, res, core, mm.id(), npages);
+    res.latency = (f.shootAt + pol) - f.now;
+    stats_.cachedCounter(op.counter, op.name).inc();
+    traceSyscall(op.name, f.now, res, f.core, f.mm.id(), f.npages);
     return res;
+}
+
+SyscallResult
+Kernel::freeOp(Task *task, Addr addr, std::uint64_t len, UnmapResult ur,
+               const SyscallOp &op, bool sync)
+{
+    if (!ur.ok)
+        return rejectedOp();
+    const OpFrame f = chargeOp(task, addr, len, ur.npages(), op);
+
+    FreeOpContext ctx;
+    ctx.mm = &f.mm;
+    ctx.initiator = f.core;
+    ctx.startVpn = f.s;
+    ctx.endVpn = f.e;
+    ctx.pages = std::move(ur.pages);
+    ctx.hugePages = std::move(ur.hugePages);
+    if (op.write) {
+        // munmap hands its VA back; the VMA survives madvise.
+        ctx.vaStart = pageAlignDown(addr);
+        ctx.vaEnd = pageAlignUp(addr + len);
+    }
+    ctx.syncRequested = sync;
+
+    // The policy consumes the per-page sharer info (ABIS) before it
+    // is forgotten.
+    std::vector<Vpn> &unmapped = unmappedScratch_;
+    unmapped.clear();
+    for (const auto &page : ctx.pages)
+        unmapped.push_back(page.first);
+    for (const auto &page : ctx.hugePages)
+        unmapped.push_back(page.first);
+    const Duration pol = policy_->onFreePages(std::move(ctx), f.shootAt);
+    for (Vpn vpn : unmapped)
+        f.mm.clearSharers(vpn);
+    return completeOp(f, op, pol, policy_->stalenessContract().epochBound);
+}
+
+SyscallResult
+Kernel::syncOp(Task *task, Addr addr, std::uint64_t len,
+               const UnmapResult &ur, const SyscallOp &op)
+{
+    if (!ur.ok)
+        return rejectedOp();
+    const OpFrame f = chargeOp(task, addr, len, ur.npages(), op);
+    const Duration pol = policy_->onSyncShootdown(&f.mm, f.core, f.s, f.e,
+                                                  f.npages, f.shootAt);
+    return completeOp(f, op, pol, 0);
 }
 
 Duration

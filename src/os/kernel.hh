@@ -202,12 +202,69 @@ class Kernel
     Duration breakCow(Task *task, Vpn vpn);
 
     /**
-     * Shared body of madvise() / madviseFree(); @p counter_slot caches
-     * the stat named @p counter (StatRegistry::cachedCounter).
+     * What sets one page-table syscall apart; the free-op and
+     * sync-op bodies take the rest from the cost model.
      */
-    SyscallResult madviseCommon(Task *task, Addr addr,
-                                std::uint64_t len, Counter *&counter_slot,
-                                const char *counter, const char *op);
+    struct SyscallOp
+    {
+        /** Charged under mmap_sem beyond vmaFixed and the local flush. */
+        Duration cost;
+        /**
+         * mmap_sem held for write and extended by the policy's time;
+         * false: held for read, not extended (madvise).
+         */
+        bool write;
+        /** Counter and span name "sys.<op>"; <op> tags oracle reports. */
+        const char *name;
+        Counter *&counter;
+    };
+
+    /** A page-table syscall between its charge and its completion. */
+    struct OpFrame
+    {
+        AddressSpace &mm;
+        CoreId core;
+        Tick now;
+        Vpn s, e; ///< inclusive page range
+        std::uint64_t npages;
+        Tick shootAt; ///< the policy's work begins (lock-adjusted)
+    };
+
+    /** Body of mmap() / mmapHuge(). */
+    SyscallResult mapOp(Task *task, std::uint64_t len, std::uint8_t prot,
+                        bool file_backed, bool huge,
+                        Counter *&counter_slot, const char *counter);
+
+    /** Body of madvise() / madviseFree(). */
+    SyscallResult madviseOp(Task *task, Addr addr, std::uint64_t len,
+                            Counter *&counter_slot, const char *counter);
+
+    /** A call on an invalid range: it pays only the syscall entry. */
+    SyscallResult rejectedOp() const;
+
+    /** Charge @p op and the local invalidation under mmap_sem. */
+    OpFrame chargeOp(Task *task, Addr addr, std::uint64_t len,
+                     std::uint64_t npages, const SyscallOp &op);
+
+    /**
+     * Finish a call whose policy work took @p pol: extend a write
+     * hold, give the oracle a deadline @p bound past that work, count
+     * and trace the call.
+     */
+    SyscallResult completeOp(const OpFrame &f, const SyscallOp &op,
+                             Duration pol, Duration bound);
+
+    /**
+     * The free-op body (munmap, madvise, MADV_FREE): hand the pages
+     * unmapped in @p ur to onFreePages — with the VA when @p op.write,
+     * i.e. munmap — then forget their sharers.
+     */
+    SyscallResult freeOp(Task *task, Addr addr, std::uint64_t len,
+                         UnmapResult ur, const SyscallOp &op, bool sync);
+
+    /** The sync-op body (mprotect, mremap, markCow). */
+    SyscallResult syncOp(Task *task, Addr addr, std::uint64_t len,
+                         const UnmapResult &ur, const SyscallOp &op);
 
     /** Emit a [now, now+latency] span for a completed syscall. */
     void traceSyscall(const char *name, Tick begin,
@@ -245,6 +302,9 @@ class Kernel
      */
     TouchHooks touchHooks_;
     Task *touchTask_ = nullptr;
+
+    /** freeOp()'s list of unmapped vpns, reused across calls. */
+    std::vector<Vpn> unmappedScratch_;
 
     /**
      * Syscall-path and serving stats, resolved on first use

@@ -51,8 +51,7 @@ AbisPolicy::onFreePages(FreeOpContext ctx, Tick start)
     sharers.andWith(ctx.mm->residencyMask());
     sharers.clear(ctx.initiator);
 
-    const std::uint64_t npages =
-        ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
+    const std::uint64_t npages = ctx.npages();
     const Duration scan =
         cost().abisPerPageScan *
         static_cast<Duration>(ctx.pages.size() + ctx.hugePages.size());
@@ -75,18 +74,8 @@ AbisPolicy::onFreePages(FreeOpContext ctx, Tick start)
                        ctx.initiator, ctx.mm->id(), npages);
     }
 
-    const Tick free_at = start + scan + wait;
-    if (!ctx.pages.empty() || !ctx.hugePages.empty()) {
-        AddressSpace *mm = ctx.mm;
-        auto pages = std::move(ctx.pages);
-        auto huge = std::move(ctx.hugePages);
-        env_.queue->scheduleLambda(free_at, [mm, pages, huge]() {
-            for (const auto &page : pages)
-                mm->frames().put(page.second);
-            for (const auto &page : huge)
-                mm->frames().putHuge(page.second);
-        });
-    }
+    releaseFramesAt(start + scan + wait, ctx.mm, std::move(ctx.pages),
+                    std::move(ctx.hugePages));
     return scan + wait;
 }
 
@@ -101,10 +90,8 @@ AbisPolicy::onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
     shootdownsCtr_.inc();
     numaSamplesCtr_.inc();
 
-    pte->flags |= kPteProtNone;
-    Duration local = cost().pteClearPerPage + cost().invlpg +
-                     cost().abisPerPageScan;
-    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
+    const Duration local = protNoneLocal(mm, initiator, pte, vpn) +
+                           cost().abisPerPageScan;
 
     CpuMask sharers = mm->sharersOf(vpn);
     sharers.andWith(mm->residencyMask());

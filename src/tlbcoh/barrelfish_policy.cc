@@ -93,25 +93,15 @@ BarrelfishPolicy::onFreePages(FreeOpContext ctx, Tick start)
     shootdownsCtr_.inc();
 
     CpuMask targets = remoteTargets(ctx.mm, ctx.initiator);
-    const std::uint64_t npages =
-        ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
+    const std::uint64_t npages = ctx.npages();
     Duration wait = 0;
     if (!targets.empty() && npages > 0) {
         wait = messageShootdown(ctx.mm, ctx.initiator, targets,
                                 ctx.startVpn, ctx.endVpn, npages,
                                 start);
     }
-    if (!ctx.pages.empty() || !ctx.hugePages.empty()) {
-        AddressSpace *mm = ctx.mm;
-        auto pages = std::move(ctx.pages);
-        auto huge = std::move(ctx.hugePages);
-        env_.queue->scheduleLambda(start + wait, [mm, pages, huge]() {
-            for (const auto &page : pages)
-                mm->frames().put(page.second);
-            for (const auto &page : huge)
-                mm->frames().putHuge(page.second);
-        });
-    }
+    releaseFramesAt(start + wait, ctx.mm, std::move(ctx.pages),
+                    std::move(ctx.hugePages));
     return wait;
 }
 
@@ -126,10 +116,7 @@ BarrelfishPolicy::onNumaSample(AddressSpace *mm, CoreId initiator,
     shootdownsCtr_.inc();
     numaSamplesCtr_.inc();
 
-    pte->flags |= kPteProtNone;
-    Duration local = cost().pteClearPerPage + cost().invlpg;
-    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
-
+    const Duration local = protNoneLocal(mm, initiator, pte, vpn);
     CpuMask targets = remoteTargets(mm, initiator);
     return local + messageShootdown(mm, initiator, targets, vpn, vpn, 1,
                                     start + local);

@@ -68,9 +68,9 @@ LatrPolicy::lazyBytes() const
 {
     std::uint64_t pages = 0;
     for (const LatrState *s : active_)
-        pages += s->pages.size() + s->hugePages.size() * kHugePageSpan;
+        pages += basePageCount(s->pages, s->hugePages);
     for (const LatrState *s : pending_)
-        pages += s->pages.size() + s->hugePages.size() * kHugePageSpan;
+        pages += basePageCount(s->pages, s->hugePages);
     return pages * kPageSize;
 }
 
@@ -93,28 +93,7 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
                 t->instant("latr", "latr.ring_full_fallback", start,
                            ctx.initiator, ctx.mm->id());
         }
-        CpuMask targets = remoteTargets(ctx.mm, ctx.initiator);
-        const std::uint64_t npages =
-            ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
-        Duration wait = 0;
-        if (!targets.empty() && npages > 0) {
-            wait = ipiShootdown(ctx.mm, ctx.initiator, targets,
-                                ctx.startVpn, ctx.endVpn, npages,
-                                start);
-        }
-        if (!ctx.pages.empty() || !ctx.hugePages.empty()) {
-            AddressSpace *mm = ctx.mm;
-            auto pages = std::move(ctx.pages);
-            auto huge = std::move(ctx.hugePages);
-            env_.queue->scheduleLambda(
-                start + wait, [mm, pages, huge]() {
-                    for (const auto &page : pages)
-                        mm->frames().put(page.second);
-                    for (const auto &page : huge)
-                        mm->frames().putHuge(page.second);
-                });
-        }
-        return wait;
+        return syncFree(ctx, start);
     }
 
     // Save the LATR state: one ring entry written with ordinary
@@ -175,12 +154,7 @@ LatrPolicy::onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
     if (!slot) {
         // Ring full: sample the Linux way.
         fallbackIpisCtr_.inc();
-        pte->flags |= kPteProtNone;
-        Duration local = cost().pteClearPerPage + cost().invlpg;
-        env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
-        CpuMask targets = remoteTargets(mm, initiator);
-        return local + ipiShootdown(mm, initiator, targets, vpn, vpn,
-                                    1, start + local);
+        return syncNumaSample(mm, initiator, pte, vpn, start);
     }
 
     shootdownsCtr_.inc();
@@ -388,22 +362,15 @@ LatrPolicy::reclaimState(LatrState *state)
     // Free the frames, release the virtual range, charge the
     // background thread's work to the ring owner.
     const std::uint64_t npages =
-        state->pages.size() + state->hugePages.size() * kHugePageSpan;
+        basePageCount(state->pages, state->hugePages);
     const MmId mm_id = state->mm ? state->mm->id() : kTraceNoMm;
     const CoreId owner = state->owner;
-    Duration spent = 0;
-    for (const auto &page : state->pages) {
-        state->mm->frames().put(page.second);
-        spent += cost().latrReclaimPerPage;
-    }
-    for (const auto &page : state->hugePages) {
-        state->mm->frames().putHuge(page.second);
-        spent += cost().latrReclaimPerPage;
-    }
-    reclaimedPagesCtr_.inc(state->pages.size() +
-                           state->hugePages.size() * kHugePageSpan);
-    if (state->vaEnd > state->vaStart)
-        state->mm->releaseHoldback(state->vaStart, state->vaEnd);
+    const Duration spent =
+        cost().latrReclaimPerPage *
+        (state->pages.size() + state->hugePages.size());
+    releaseFrames(state->mm, state->pages, state->hugePages,
+                  state->vaStart, state->vaEnd);
+    reclaimedPagesCtr_.inc(npages);
     env_.cores->chargeStolen(state->owner, spent);
     state->pages.clear();
     state->hugePages.clear();

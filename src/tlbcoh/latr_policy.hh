@@ -68,12 +68,12 @@ struct LatrState
     /** Migration only: first sweeper already made the PTE prot-none. */
     bool pteCleared = false;
     /** Free only: frames to release at reclamation. */
-    std::vector<std::pair<Vpn, Pfn>> pages;
+    PageList pages;
     /**
      * Free only: 2 MiB mappings to release with putHuge() — the
      * huge-flag extension the paper's section 7 proposes.
      */
-    std::vector<std::pair<Vpn, Pfn>> hugePages;
+    PageList hugePages;
     /** Free only: virtual range to release (munmap). */
     Addr vaStart = 0;
     Addr vaEnd = 0;

@@ -29,10 +29,8 @@ class LinuxPolicy : public TlbCoherencePolicy
     PolicyKind kind() const override { return PolicyKind::LinuxSync; }
     PolicyCapabilities capabilities() const override;
 
-    Duration onFreePages(FreeOpContext ctx, Tick start) override;
-
-    Duration onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
-                          Tick start) override;
+    // onFreePages, onNumaSample and onSyncShootdown: the base
+    // class's synchronous defaults.
 };
 
 } // namespace latr

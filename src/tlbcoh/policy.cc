@@ -133,6 +133,91 @@ TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
     return r.allAcked - start;
 }
 
+void
+TlbCoherencePolicy::releaseFrames(AddressSpace *mm, const PageList &pages,
+                                  const PageList &huge, Addr va_start,
+                                  Addr va_end)
+{
+    for (const auto &page : pages)
+        mm->frames().put(page.second);
+    for (const auto &page : huge)
+        mm->frames().putHuge(page.second);
+    if (va_end > va_start)
+        mm->releaseHoldback(va_start, va_end);
+}
+
+void
+TlbCoherencePolicy::releaseFramesAt(Tick at, AddressSpace *mm,
+                                    PageList pages, PageList huge,
+                                    Addr va_start, Addr va_end)
+{
+    if (pages.empty() && huge.empty() && va_end <= va_start)
+        return;
+    env_.queue->scheduleLambda(
+        at, [mm, pages = std::move(pages), huge = std::move(huge),
+             va_start, va_end]() {
+            releaseFrames(mm, pages, huge, va_start, va_end);
+        });
+}
+
+Duration
+TlbCoherencePolicy::syncFree(FreeOpContext &ctx, Tick start)
+{
+    const std::uint64_t npages = ctx.npages();
+    CpuMask targets = remoteTargets(ctx.mm, ctx.initiator);
+    Duration wait = 0;
+    if (!targets.empty() && npages > 0) {
+        wait = ipiShootdown(ctx.mm, ctx.initiator, targets,
+                            ctx.startVpn, ctx.endVpn, npages, start);
+    }
+    // Pages return to the allocator once the shootdown completes;
+    // the remote invalidations were scheduled before the last ACK,
+    // so the reuse invariant holds by construction. Virtual
+    // addresses are reusable at once: the op does not return before
+    // coherence is reached.
+    releaseFramesAt(start + wait, ctx.mm, std::move(ctx.pages),
+                    std::move(ctx.hugePages));
+    return wait;
+}
+
+Duration
+TlbCoherencePolicy::onFreePages(FreeOpContext ctx, Tick start)
+{
+    shootdownsCtr_.inc();
+    return syncFree(ctx, start);
+}
+
+Duration
+TlbCoherencePolicy::protNoneLocal(AddressSpace *mm, CoreId initiator,
+                                  Pte *pte, Vpn vpn)
+{
+    pte->flags |= kPteProtNone;
+    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
+    return cost().pteClearPerPage + cost().invlpg;
+}
+
+Duration
+TlbCoherencePolicy::syncNumaSample(AddressSpace *mm, CoreId initiator,
+                                   Pte *pte, Vpn vpn, Tick start)
+{
+    const Duration local = protNoneLocal(mm, initiator, pte, vpn);
+    return local + ipiShootdown(mm, initiator,
+                                remoteTargets(mm, initiator), vpn, vpn,
+                                1, start + local);
+}
+
+Duration
+TlbCoherencePolicy::onNumaSample(AddressSpace *mm, CoreId initiator,
+                                 Vpn vpn, Tick start)
+{
+    Pte *pte = mm->pageTable().find(vpn);
+    if (!pte)
+        return 0; // raced with an unmap; nothing to sample
+    shootdownsCtr_.inc();
+    numaSamplesCtr_.inc();
+    return syncNumaSample(mm, initiator, pte, vpn, start);
+}
+
 Duration
 TlbCoherencePolicy::onSyncShootdown(AddressSpace *mm, CoreId initiator,
                                     Vpn start_vpn, Vpn end_vpn,

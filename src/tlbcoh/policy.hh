@@ -73,14 +73,14 @@ struct FreeOpContext
     Vpn startVpn = 0;
     Vpn endVpn = 0;
     /** Unmapped (vpn, frame) pairs whose frames the policy frees. */
-    std::vector<std::pair<Vpn, Pfn>> pages;
+    PageList pages;
     /**
      * Unmapped 2 MiB mappings (base vpn, base frame), released with
      * putHuge(). The LATR state covering them carries the paper's
      * proposed huge flag (section 7) implicitly: its vpn range spans
      * the whole region, so sweeps invalidate the huge TLB entries.
      */
-    std::vector<std::pair<Vpn, Pfn>> hugePages;
+    PageList hugePages;
     /**
      * Virtual range to return to the allocator once coherence is
      * reached; vaEnd == 0 for madvise (the VMA stays).
@@ -92,6 +92,9 @@ struct FreeOpContext
      * the paper's section 7 proposes for use-after-free detectors).
      */
     bool syncRequested = false;
+
+    /** 4 KiB pages the freed mappings cover. */
+    std::uint64_t npages() const { return basePageCount(pages, hugePages); }
 };
 
 /**
@@ -125,8 +128,8 @@ struct PolicyCapabilities
 };
 
 /**
- * Base class of all TLB-coherence policies. Provides the shared
- * synchronous-IPI machinery that LinuxPolicy uses directly and that
+ * Base class of all TLB-coherence policies. Its defaults are Linux's
+ * synchronous IPI shootdowns, which LinuxPolicy uses unchanged and
  * every policy needs for operations that cannot be lazy (mprotect,
  * mremap, CoW — table 1) or as a fallback.
  */
@@ -158,12 +161,12 @@ class TlbCoherencePolicy
      * A free operation unmapped @p ctx.pages. PTEs are already
      * cleared and the initiator's TLB already invalidated; the
      * policy owns remote invalidation, frame release, and VA
-     * release.
+     * release. The default counts a shootdown and runs syncFree().
      *
      * @param start tick the policy's work begins (lock-adjusted).
      * @return time consumed on the initiating core beyond @p start.
      */
-    virtual Duration onFreePages(FreeOpContext ctx, Tick start) = 0;
+    virtual Duration onFreePages(FreeOpContext ctx, Tick start);
 
     /**
      * A page-table change that must be visible system-wide before
@@ -178,10 +181,12 @@ class TlbCoherencePolicy
      * AutoNUMA sampled @p vpn: make it prot-none and invalidate it
      * everywhere. Lazy policies may defer the PTE change (paper
      * section 4.3); they must block the mm's mmap_sem until every
-     * core has invalidated.
+     * core has invalidated. The default skips a page that raced with
+     * an unmap, else counts a shootdown and a sample and runs
+     * syncNumaSample().
      */
     virtual Duration onNumaSample(AddressSpace *mm, CoreId initiator,
-                                  Vpn vpn, Tick start) = 0;
+                                  Vpn vpn, Tick start);
 
     /**
      * Earliest tick at which a NUMA-hint fault on @p vpn may proceed
@@ -201,6 +206,47 @@ class TlbCoherencePolicy
     virtual Duration minorFaultOverhead() const { return 0; }
 
   protected:
+    /**
+     * Return @p pages and @p huge to @p mm's frame allocator, then
+     * un-park [va_start, va_end) when it is non-empty: the end of
+     * every free once coherence is reached.
+     */
+    static void releaseFrames(AddressSpace *mm, const PageList &pages,
+                              const PageList &huge, Addr va_start = 0,
+                              Addr va_end = 0);
+
+    /**
+     * releaseFrames() at @p at, when the last remote invalidation
+     * has landed. Schedules nothing when there is nothing to release.
+     */
+    void releaseFramesAt(Tick at, AddressSpace *mm, PageList pages,
+                         PageList huge, Addr va_start = 0,
+                         Addr va_end = 0);
+
+    /**
+     * Linux's free: IPI every remote core where the mm is resident
+     * (when something was mapped) and release the frames once the
+     * last ACK lands. Counts nothing; the caller does.
+     */
+    Duration syncFree(FreeOpContext &ctx, Tick start);
+
+    /**
+     * change_prot_numa's local half: make @p pte (of @p vpn)
+     * prot-none and invalidate it on the initiator's TLB.
+     * @return the time that takes.
+     */
+    Duration protNoneLocal(AddressSpace *mm, CoreId initiator, Pte *pte,
+                           Vpn vpn);
+
+    /**
+     * Linux's NUMA sample: protNoneLocal(), then IPI every remote
+     * core where the mm is resident — the cost the paper's figure 3a
+     * shows on the AutoNUMA critical path. Counts nothing; the
+     * caller does.
+     */
+    Duration syncNumaSample(AddressSpace *mm, CoreId initiator, Pte *pte,
+                            Vpn vpn, Tick start);
+
     /**
      * The shared synchronous IPI shootdown: serialize ICR writes to
      * every core in @p targets (minus the initiator), invalidate

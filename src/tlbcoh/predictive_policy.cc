@@ -88,27 +88,14 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
 {
     shootdownsCtr_.inc();
 
-    const std::uint64_t npages =
-        ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
+    const std::uint64_t npages = ctx.npages();
     CpuMask candidates = remoteTargets(ctx.mm, ctx.initiator);
 
-    if (npages == 0)
-        return 0; // nothing was mapped: no translations anywhere
-
-    if (candidates.empty()) {
-        // No remote core can hold an entry and the initiator already
-        // invalidated: free immediately, Linux-style.
-        AddressSpace *mm = ctx.mm;
-        auto pages = std::move(ctx.pages);
-        auto huge = std::move(ctx.hugePages);
-        env_.queue->scheduleLambda(start, [mm, pages, huge]() {
-            for (const auto &page : pages)
-                mm->frames().put(page.second);
-            for (const auto &page : huge)
-                mm->frames().putHuge(page.second);
-        });
-        return 0;
-    }
+    // Nothing was mapped (no translations anywhere), or no remote
+    // core can hold an entry and the initiator already invalidated:
+    // free at once, Linux-style — sending no IPI.
+    if (npages == 0 || candidates.empty())
+        return syncFree(ctx, start);
 
     // Feature vector: mm, containing VMA (gone already for munmap —
     // the released base stands in), the recent-accessor union of the
@@ -174,30 +161,6 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
 
     scheduleVerify(ev, start + wait + cost().tickInterval);
     return wait;
-}
-
-Duration
-PredictivePolicy::onNumaSample(AddressSpace *mm, CoreId initiator,
-                               Vpn vpn, Tick start)
-{
-    // AutoNUMA samples gate migration faults on full coherence; keep
-    // them synchronous full-mask (the Linux path) rather than teach
-    // numaSampleReadyAt about pending verifications.
-    Pte *pte = mm->pageTable().find(vpn);
-    if (!pte)
-        return 0; // raced with an unmap
-
-    shootdownsCtr_.inc();
-    numaSamplesCtr_.inc();
-
-    pte->flags |= kPteProtNone;
-    Duration local = cost().pteClearPerPage + cost().invlpg;
-    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
-
-    CpuMask targets = remoteTargets(mm, initiator);
-    Duration wait = ipiShootdown(mm, initiator, targets, vpn, vpn, 1,
-                                 start + local);
-    return local + wait;
 }
 
 void
@@ -271,29 +234,14 @@ PredictivePolicy::runVerify(VerifyEvent *ev)
 
     if (wait == 0) {
         // Clean (or empty) verification: coherence certain now.
-        for (const auto &page : ev->pages)
-            ev->mm->frames().put(page.second);
-        for (const auto &page : ev->hugePages)
-            ev->mm->frames().putHuge(page.second);
-        if (ev->vaEnd > ev->vaStart)
-            ev->mm->releaseHoldback(ev->vaStart, ev->vaEnd);
+        releaseFrames(ev->mm, ev->pages, ev->hugePages, ev->vaStart,
+                      ev->vaEnd);
     } else {
         // Fallback in flight: release only when its last delivery
         // has invalidated everything.
-        AddressSpace *mm = ev->mm;
-        auto pages = std::move(ev->pages);
-        auto huge = std::move(ev->hugePages);
-        const Addr va_start = ev->vaStart;
-        const Addr va_end = ev->vaEnd;
-        env_.queue->scheduleLambda(
-            now + wait, [mm, pages, huge, va_start, va_end]() {
-                for (const auto &page : pages)
-                    mm->frames().put(page.second);
-                for (const auto &page : huge)
-                    mm->frames().putHuge(page.second);
-                if (va_end > va_start)
-                    mm->releaseHoldback(va_start, va_end);
-            });
+        releaseFramesAt(now + wait, ev->mm, std::move(ev->pages),
+                        std::move(ev->hugePages), ev->vaStart,
+                        ev->vaEnd);
     }
 
     ev->pages.clear();

@@ -46,8 +46,10 @@ class PredictivePolicy : public TlbCoherencePolicy
     StalenessContract stalenessContract() const override;
 
     Duration onFreePages(FreeOpContext ctx, Tick start) override;
-    Duration onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
-                          Tick start) override;
+    // onNumaSample: the base class's synchronous full-mask sample.
+    // AutoNUMA gates migration faults on full coherence, so samples
+    // stay on the Linux path rather than teach numaSampleReadyAt
+    // about pending verifications.
 
     /** The predictor, exposed for white-box tests. */
     const SharerPredictor &predictor() const { return predictor_; }
@@ -75,8 +77,8 @@ class PredictivePolicy : public TlbCoherencePolicy
         Vpn startVpn = 0;
         Vpn endVpn = 0;
         std::uint64_t npages = 0;
-        std::vector<std::pair<Vpn, Pfn>> pages;
-        std::vector<std::pair<Vpn, Pfn>> hugePages;
+        PageList pages;
+        PageList hugePages;
         Addr vaStart = 0;
         Addr vaEnd = 0;
         CpuMask candidates;

@@ -28,54 +28,50 @@ Addr
 AddressSpace::findFreeRange(std::uint64_t len,
                             std::uint64_t alignment) const
 {
-    // First-fit over the union of live VMAs and held-back ranges.
-    // Returns the greatest conflicting end overlapping [lo, lo+len),
-    // or 0 when the window is free.
-    auto conflict_end = [&](Addr lo, Addr hi) -> Addr {
-        Addr worst = 0;
-        // VMAs: the only candidates are the one starting before hi
-        // closest to it and any starting within [lo, hi).
-        auto it = vmas_.upper_bound(hi - 1);
-        while (it != vmas_.begin()) {
-            --it;
-            if (it->second.end <= lo)
-                break;
-            if (it->second.overlaps(lo, hi))
-                worst = std::max(worst, it->second.end);
-        }
-        auto hit = holdback_.upper_bound(hi - 1);
-        while (hit != holdback_.begin()) {
-            --hit;
-            if (hit->second <= lo)
-                break;
-            if (hit->first < hi && hit->second > lo)
-                worst = std::max(worst, hit->second);
-        }
-        return worst;
-    };
-
-    auto align_up = [&](Addr a) {
+    // First fit in one forward walk: visit live VMAs and held-back
+    // ranges together in start order and bump the candidate past each
+    // one it overlaps. The candidate only grows, so every range
+    // visited so far ends at or below it, overlapping held-back
+    // ranges included; the first range starting at or beyond
+    // candidate + len leaves the window free.
+    auto align_up = [alignment](Addr a) {
         return (a + alignment - 1) & ~(alignment - 1);
     };
     Addr candidate = align_up(kMmapBase);
+    auto vma = vmas_.begin();
+    auto held = holdback_.begin();
     for (;;) {
         if (candidate + len > kUserVaLimit)
             return kAddrInvalid;
-        Addr bump = conflict_end(candidate, candidate + len);
-        if (bump == 0)
+        Addr start, end;
+        if (vma != vmas_.end() &&
+            (held == holdback_.end() || vma->first <= held->first)) {
+            start = vma->second.start;
+            end = vma->second.end;
+            ++vma;
+        } else if (held != holdback_.end()) {
+            start = held->first;
+            end = held->second;
+            ++held;
+        } else {
             return candidate;
-        candidate = align_up(bump);
+        }
+        if (start >= candidate + len)
+            return candidate;
+        if (end > candidate)
+            candidate = align_up(end);
     }
 }
 
 Addr
-AddressSpace::mmapRegion(std::uint64_t len, std::uint8_t prot,
-                         bool file_backed)
+AddressSpace::mapRegion(std::uint64_t len, std::uint8_t prot,
+                        bool file_backed, bool huge)
 {
     if (len == 0)
         return kAddrInvalid;
-    len = pageAlignUp(len);
-    Addr base = findFreeRange(len);
+    const std::uint64_t alignment = huge ? kHugePageSize : kPageSize;
+    len = (len + alignment - 1) & ~(alignment - 1);
+    Addr base = findFreeRange(len, alignment);
     if (base == kAddrInvalid)
         return kAddrInvalid;
     Vma vma;
@@ -83,24 +79,7 @@ AddressSpace::mmapRegion(std::uint64_t len, std::uint8_t prot,
     vma.end = base + len;
     vma.prot = prot;
     vma.fileBacked = file_backed;
-    vmas_[base] = vma;
-    return base;
-}
-
-Addr
-AddressSpace::mmapHugeRegion(std::uint64_t len, std::uint8_t prot)
-{
-    if (len == 0)
-        return kAddrInvalid;
-    len = (len + kHugePageSize - 1) & ~(kHugePageSize - 1);
-    Addr base = findFreeRange(len, kHugePageSize);
-    if (base == kAddrInvalid)
-        return kAddrInvalid;
-    Vma vma;
-    vma.start = base;
-    vma.end = base + len;
-    vma.prot = prot;
-    vma.huge = true;
+    vma.huge = huge;
     vmas_[base] = vma;
     return base;
 }
@@ -122,15 +101,40 @@ AddressSpace::splitAt(Addr addr)
 }
 
 UnmapResult
-AddressSpace::munmapRegion(Addr addr, std::uint64_t len)
+AddressSpace::beginRegionOp(Addr addr, std::uint64_t len, Addr &lo,
+                            Addr &hi)
 {
     UnmapResult result;
-    Addr lo = pageAlignDown(addr);
-    Addr hi = pageAlignUp(addr + len);
-    if (!vmaRangeValid(lo, hi))
+    lo = pageAlignDown(addr);
+    hi = pageAlignUp(addr + len);
+    if (vmaRangeValid(lo, hi)) {
+        result.ok = true;
+        result.spanned = (hi - lo) >> kPageShift;
+    }
+    return result;
+}
+
+void
+AddressSpace::unmapCollected(UnmapResult &result)
+{
+    // Unmap outside the forEach to keep its "no map/unmap" contract.
+    // Sharer info is NOT cleared here: the coherence policy (ABIS)
+    // reads it to compute the shootdown target set; the kernel
+    // clears it once the policy has run.
+    for (auto &page : result.pages) {
+        Pte old = pt_.unmap(page.first);
+        page.second = old.pfn;
+        contentTags_.erase(page.first);
+    }
+}
+
+UnmapResult
+AddressSpace::munmapRegion(Addr addr, std::uint64_t len)
+{
+    Addr lo, hi;
+    UnmapResult result = beginRegionOp(addr, len, lo, hi);
+    if (!result.ok)
         return result;
-    result.ok = true;
-    result.spanned = (hi - lo) >> kPageShift;
 
     splitAt(lo);
     splitAt(hi);
@@ -152,28 +156,17 @@ AddressSpace::munmapRegion(Addr addr, std::uint64_t len)
         }
         it = vmas_.erase(it);
     }
-    // Unmap outside the forEach to keep its "no map/unmap" contract.
-    // Sharer info is NOT cleared here: the coherence policy (ABIS)
-    // reads it to compute the shootdown target set; the kernel
-    // clears it once the policy has run.
-    for (auto &page : result.pages) {
-        Pte old = pt_.unmap(page.first);
-        page.second = old.pfn;
-        contentTags_.erase(page.first);
-    }
+    unmapCollected(result);
     return result;
 }
 
 UnmapResult
 AddressSpace::madviseRegion(Addr addr, std::uint64_t len)
 {
-    UnmapResult result;
-    Addr lo = pageAlignDown(addr);
-    Addr hi = pageAlignUp(addr + len);
-    if (!vmaRangeValid(lo, hi))
+    Addr lo, hi;
+    UnmapResult result = beginRegionOp(addr, len, lo, hi);
+    if (!result.ok)
         return result;
-    result.ok = true;
-    result.spanned = (hi - lo) >> kPageShift;
 
     for (auto it = vmas_.upper_bound(hi - 1); it != vmas_.begin();) {
         --it;
@@ -201,11 +194,7 @@ AddressSpace::madviseRegion(Addr addr, std::uint64_t len)
                 result.hugePages.emplace_back(base, old.pfn);
         }
     }
-    for (auto &page : result.pages) {
-        Pte old = pt_.unmap(page.first);
-        page.second = old.pfn;
-        contentTags_.erase(page.first);
-    }
+    unmapCollected(result);
     return result;
 }
 
@@ -213,13 +202,10 @@ UnmapResult
 AddressSpace::mprotectRegion(Addr addr, std::uint64_t len,
                              std::uint8_t prot)
 {
-    UnmapResult result;
-    Addr lo = pageAlignDown(addr);
-    Addr hi = pageAlignUp(addr + len);
-    if (!vmaRangeValid(lo, hi))
+    Addr lo, hi;
+    UnmapResult result = beginRegionOp(addr, len, lo, hi);
+    if (!result.ok)
         return result;
-    result.ok = true;
-    result.spanned = (hi - lo) >> kPageShift;
 
     splitAt(lo);
     splitAt(hi);
@@ -245,9 +231,9 @@ Addr
 AddressSpace::mremapRegion(Addr old_addr, std::uint64_t old_len,
                            std::uint64_t new_len, UnmapResult *moved_out)
 {
-    Addr lo = pageAlignDown(old_addr);
-    Addr hi = pageAlignUp(old_addr + old_len);
-    if (!vmaRangeValid(lo, hi))
+    Addr lo, hi;
+    UnmapResult moved = beginRegionOp(old_addr, old_len, lo, hi);
+    if (!moved.ok)
         return kAddrInvalid;
     new_len = pageAlignUp(new_len);
 
@@ -263,9 +249,6 @@ AddressSpace::mremapRegion(Addr old_addr, std::uint64_t old_len,
         return kAddrInvalid;
 
     // Collect and move present pages that fit the new size.
-    UnmapResult moved;
-    moved.ok = true;
-    moved.spanned = (hi - lo) >> kPageShift;
     pt_.forEachPresent(pageOf(lo), pageOf(hi) - 1,
                        [&](Vpn vpn, Pte &) {
                            moved.pages.emplace_back(vpn, 0);
@@ -305,13 +288,10 @@ AddressSpace::mremapRegion(Addr old_addr, std::uint64_t old_len,
 UnmapResult
 AddressSpace::markCowRegion(Addr addr, std::uint64_t len)
 {
-    UnmapResult result;
-    Addr lo = pageAlignDown(addr);
-    Addr hi = pageAlignUp(addr + len);
-    if (!vmaRangeValid(lo, hi))
+    Addr lo, hi;
+    UnmapResult result = beginRegionOp(addr, len, lo, hi);
+    if (!result.ok)
         return result;
-    result.ok = true;
-    result.spanned = (hi - lo) >> kPageShift;
     pt_.forEachPresent(pageOf(lo), pageOf(hi) - 1,
                        [&](Vpn vpn, Pte &pte) {
                            pte.flags |= kPteCow;
@@ -327,41 +307,46 @@ AddressSpace::holdbackRange(Addr start, Addr end)
 {
     if (start >= end)
         panic("holdback of empty range");
-    holdback_[start] = std::max(holdback_[start], end);
+    holdback_.emplace(start, end);
 }
 
 void
 AddressSpace::releaseHoldback(Addr start, Addr end)
 {
-    auto it = holdback_.find(start);
-    if (it == holdback_.end())
-        return;
-    if (it->second <= end)
-        holdback_.erase(it);
-    else
-        holdback_[end] = it->second, holdback_.erase(start);
+    auto [it, last] = holdback_.equal_range(start);
+    for (; it != last; ++it) {
+        if (it->second == end) {
+            holdback_.erase(it);
+            return;
+        }
+    }
+    panic("release of a range that is not held back");
 }
 
 bool
 AddressSpace::rangeHeldBack(Addr start, Addr end) const
 {
-    auto it = holdback_.upper_bound(end - 1);
-    while (it != holdback_.begin()) {
-        --it;
-        if (it->second <= start)
-            return false;
-        if (it->first < end && it->second > start)
+    // Held ranges may overlap, so a range that starts early can
+    // reach past later ones: scan every range starting below end.
+    for (auto it = holdback_.begin();
+         it != holdback_.end() && it->first < end; ++it)
+        if (it->second > start)
             return true;
-    }
     return false;
 }
 
 std::uint64_t
 AddressSpace::heldBackBytes() const
 {
+    // Bytes in the union of the held ranges, which may overlap.
     std::uint64_t total = 0;
-    for (const auto &kv : holdback_)
-        total += kv.second - kv.first;
+    Addr covered = 0;
+    for (const auto &[start, end] : holdback_) {
+        if (end > covered) {
+            total += end - std::max(start, covered);
+            covered = end;
+        }
+    }
     return total;
 }
 

@@ -35,21 +35,34 @@ namespace latr
 /** Sentinel returned by mmapRegion/mremapRegion on failure. */
 constexpr Addr kAddrInvalid = ~0ULL;
 
+/** (vpn, pfn) pairs: unmapped 4 KiB pages or 2 MiB mappings. */
+using PageList = std::vector<std::pair<Vpn, Pfn>>;
+
+/** 4 KiB pages covered by @p pages plus the 2 MiB mappings @p huge. */
+inline std::uint64_t
+basePageCount(const PageList &pages, const PageList &huge)
+{
+    return pages.size() + huge.size() * kHugePageSpan;
+}
+
 /** Pages collected by an unmap-like operation. */
 struct UnmapResult
 {
     /** (vpn, pfn) of every page that was present and got unmapped. */
-    std::vector<std::pair<Vpn, Pfn>> pages;
+    PageList pages;
     /**
      * (base vpn, base pfn) of every 2 MiB mapping that got
      * unmapped. Freed with FrameAllocator::putHuge once coherence
      * is reached.
      */
-    std::vector<std::pair<Vpn, Pfn>> hugePages;
+    PageList hugePages;
     /** Pages spanned by the request (present or not). */
     std::uint64_t spanned = 0;
-    /** False if the range intersected no mapping. */
+    /** False if the page-aligned range is empty or past the VA limit. */
     bool ok = false;
+
+    /** 4 KiB pages the collected mappings cover. */
+    std::uint64_t npages() const { return basePageCount(pages, hugePages); }
 };
 
 /** One process' address space (the simulated mm_struct). */
@@ -101,14 +114,20 @@ class AddressSpace
      * @return the chosen base address or kAddrInvalid.
      */
     Addr mmapRegion(std::uint64_t len, std::uint8_t prot,
-                    bool file_backed = false);
+                    bool file_backed = false)
+    {
+        return mapRegion(len, prot, file_backed, false);
+    }
 
     /**
      * Map @p len bytes (rounded to 2 MiB) backed by huge pages: the
      * base is kHugePageSize-aligned and faults populate a whole
      * 2 MiB region at a time.
      */
-    Addr mmapHugeRegion(std::uint64_t len, std::uint8_t prot);
+    Addr mmapHugeRegion(std::uint64_t len, std::uint8_t prot)
+    {
+        return mapRegion(len, prot, false, true);
+    }
 
     /**
      * Remove mappings in [addr, addr + len): splits or deletes
@@ -160,16 +179,20 @@ class AddressSpace
     /// @name Lazy-reclamation holdback (LATR)
     /// @{
 
-    /** Park [start, end) so mmapRegion() cannot hand it out. */
+    /**
+     * Park [start, end) so mmapRegion() cannot hand it out. Ranges
+     * are kept as given: two frees of overlapping VA park two
+     * ranges, each released by its own releaseHoldback().
+     */
     void holdbackRange(Addr start, Addr end);
 
-    /** Release a previously held-back range. */
+    /** Release one range parked by holdbackRange(start, end). */
     void releaseHoldback(Addr start, Addr end);
 
     /** True if any page of [start, end) is held back. */
     bool rangeHeldBack(Addr start, Addr end) const;
 
-    /** Total bytes currently held back. */
+    /** Total bytes currently held back (the union of the ranges). */
     std::uint64_t heldBackBytes() const;
 
     /// @}
@@ -211,9 +234,27 @@ class AddressSpace
     /** Lowest address mmapRegion() will consider. */
     static constexpr Addr kMmapBase = 0x7000'0000'0000ULL >> 1;
 
-    /** First-fit search for a free, non-held-back gap of @p len. */
+    /**
+     * Lowest @p alignment-aligned gap of @p len at or above
+     * kMmapBase that overlaps no live VMA and no held-back range.
+     */
     Addr findFreeRange(std::uint64_t len,
                        std::uint64_t alignment = kPageSize) const;
+
+    /** Body of mmapRegion() / mmapHugeRegion(). */
+    Addr mapRegion(std::uint64_t len, std::uint8_t prot, bool file_backed,
+                   bool huge);
+
+    /**
+     * Page-align [addr, addr + len) into [@p lo, @p hi) and start the
+     * result of a region op on it: ok and spanned are set when the
+     * range is valid.
+     */
+    static UnmapResult beginRegionOp(Addr addr, std::uint64_t len,
+                                     Addr &lo, Addr &hi);
+
+    /** Unmap and untag every page collected in @p result.pages. */
+    void unmapCollected(UnmapResult &result);
 
     /** Split VMAs so that @p addr is a VMA boundary (if mapped). */
     void splitAt(Addr addr);
@@ -227,7 +268,7 @@ class AddressSpace
     CpuMask residencyMask_;
 
     std::map<Addr, Vma> vmas_;           // keyed by start
-    std::map<Addr, Addr> holdback_;      // start -> end
+    std::multimap<Addr, Addr> holdback_; // start -> end, as parked
     // Flat slot arrays (vm/flat_page_map.hh): ABIS consults
     // sharers_ once per page on every munmap, so the probe chains
     // must be cache-friendly, not node-per-entry.

@@ -1,8 +1,13 @@
 // Unit tests for AddressSpace: VMAs, mmap placement, unmap paths,
 // holdback, and sharer tracking.
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "sim/rng.hh"
 #include "vm/address_space.hh"
 
 namespace latr
@@ -241,6 +246,222 @@ TEST_F(AddressSpaceFixture, MunmapKeepsSharersForThePolicy)
     EXPECT_TRUE(mm.sharersOf(pageOf(a)).test(2));
     mm.clearSharers(pageOf(a));
     EXPECT_TRUE(mm.sharersOf(pageOf(a)).empty());
+}
+
+TEST_F(AddressSpaceFixture, HoldbacksSharingAStartReleaseIndependently)
+{
+    // Two lazy frees from one start address park two ranges; each
+    // release drops only its own.
+    Addr a = mm.mmapRegion(4 * kPageSize, kProtRead);
+    mm.munmapRegion(a, 4 * kPageSize);
+    mm.holdbackRange(a, a + 2 * kPageSize);
+    mm.holdbackRange(a, a + 4 * kPageSize);
+    EXPECT_EQ(mm.heldBackBytes(), 4 * kPageSize);
+
+    mm.releaseHoldback(a, a + 2 * kPageSize);
+    EXPECT_TRUE(mm.rangeHeldBack(a, a + kPageSize));
+    EXPECT_EQ(mm.heldBackBytes(), 4 * kPageSize);
+    EXPECT_NE(mm.mmapRegion(kPageSize, kProtRead), a);
+
+    mm.releaseHoldback(a, a + 4 * kPageSize);
+    EXPECT_EQ(mm.heldBackBytes(), 0u);
+    EXPECT_FALSE(mm.rangeHeldBack(a, a + 4 * kPageSize));
+    EXPECT_EQ(mm.mmapRegion(kPageSize, kProtRead), a);
+}
+
+TEST_F(AddressSpaceFixture, NestedHoldbacksCoverTheOuterRange)
+{
+    // A held range that starts early reaches past a later, shorter
+    // one: queries and mmap must still see the outer range.
+    const Addr base = mm.mmapRegion(kPageSize, kProtRead);
+    mm.munmapRegion(base, kPageSize);
+    mm.holdbackRange(base - 16 * kPageSize, base + 16 * kPageSize);
+    mm.holdbackRange(base - 8 * kPageSize, base - 7 * kPageSize);
+    EXPECT_TRUE(mm.rangeHeldBack(base, base + kPageSize));
+    EXPECT_EQ(mm.heldBackBytes(), 32 * kPageSize);
+    EXPECT_EQ(mm.mmapRegion(kPageSize, kProtRead),
+              base + 16 * kPageSize);
+}
+
+TEST_F(AddressSpaceFixture, ReleasingARangeNeverHeldPanics)
+{
+    Addr a = mm.mmapRegion(4 * kPageSize, kProtRead);
+    mm.holdbackRange(a, a + 4 * kPageSize);
+    EXPECT_DEATH(mm.releaseHoldback(a, a + 2 * kPageSize),
+                 "not held back");
+}
+
+/**
+ * Verbatim copy of AddressSpace::findFreeRange as it stood before
+ * the one-pass walk: first fit from the mmap base, each bump
+ * re-walking the VMA and held-back maps backwards from the window.
+ * Its held-back map merges same-start ranges (the old holdback_);
+ * its backward walks assume no held range nests inside another.
+ */
+Addr
+refFindFreeRange(const std::map<Addr, Vma> &vmas_,
+                 const std::map<Addr, Addr> &holdback_, Addr kMmapBase,
+                 std::uint64_t len, std::uint64_t alignment)
+{
+    // First-fit over the union of live VMAs and held-back ranges.
+    // Returns the greatest conflicting end overlapping [lo, lo+len),
+    // or 0 when the window is free.
+    auto conflict_end = [&](Addr lo, Addr hi) -> Addr {
+        Addr worst = 0;
+        // VMAs: the only candidates are the one starting before hi
+        // closest to it and any starting within [lo, hi).
+        auto it = vmas_.upper_bound(hi - 1);
+        while (it != vmas_.begin()) {
+            --it;
+            if (it->second.end <= lo)
+                break;
+            if (it->second.overlaps(lo, hi))
+                worst = std::max(worst, it->second.end);
+        }
+        auto hit = holdback_.upper_bound(hi - 1);
+        while (hit != holdback_.begin()) {
+            --hit;
+            if (hit->second <= lo)
+                break;
+            if (hit->first < hi && hit->second > lo)
+                worst = std::max(worst, hit->second);
+        }
+        return worst;
+    };
+
+    auto align_up = [&](Addr a) {
+        return (a + alignment - 1) & ~(alignment - 1);
+    };
+    Addr candidate = align_up(kMmapBase);
+    for (;;) {
+        if (candidate + len > kUserVaLimit)
+            return kAddrInvalid;
+        Addr bump = conflict_end(candidate, candidate + len);
+        if (bump == 0)
+            return candidate;
+        candidate = align_up(bump);
+    }
+}
+
+/**
+ * Brute-force first fit: the lowest aligned window at or above
+ * @p base that overlaps nothing. Such a window starts at the aligned
+ * base or at the aligned end of some range, so try only those.
+ */
+Addr
+oracleFindFreeRange(const std::map<Addr, Vma> &vmas,
+                    const std::vector<std::pair<Addr, Addr>> &held,
+                    Addr base, std::uint64_t len, std::uint64_t alignment)
+{
+    auto align_up = [&](Addr a) {
+        return (a + alignment - 1) & ~(alignment - 1);
+    };
+    std::vector<std::pair<Addr, Addr>> ranges = held;
+    for (const auto &kv : vmas)
+        ranges.emplace_back(kv.second.start, kv.second.end);
+    std::vector<Addr> candidates{align_up(base)};
+    for (const auto &r : ranges)
+        candidates.push_back(std::max(align_up(base), align_up(r.second)));
+    Addr best = kAddrInvalid;
+    for (Addr c : candidates) {
+        const bool free = std::none_of(
+            ranges.begin(), ranges.end(), [&](const auto &r) {
+                return r.first < c + len && r.second > c;
+            });
+        if (free && c + len <= kUserVaLimit)
+            best = std::min(best, c);
+    }
+    return best;
+}
+
+/**
+ * Drive one address space through seeded mmap / munmap / hold /
+ * release traffic and check every mmap's placement: against the
+ * brute-force oracle always, and against the old function while no
+ * held range nests inside another (@p allow_nested false).
+ */
+void
+checkPlacement(std::uint64_t seed, bool allow_nested)
+{
+    FrameAllocator frames(1, 64);
+    AddressSpace mm(1, 0, frames);
+    const Addr base = mm.mmapRegion(kPageSize, kProtRead);
+    mm.munmapRegion(base, kPageSize);
+    Rng rng(seed);
+    std::vector<std::pair<Addr, Addr>> held; // as parked, in order
+    std::vector<std::pair<Addr, Addr>> freed; // recent munmaps
+
+    auto nests = [&](Addr s, Addr e) {
+        for (const auto &h : held) {
+            if ((h.first < s && e < h.second) ||
+                (s < h.first && h.second < e))
+                return true;
+        }
+        return false;
+    };
+
+    for (int op = 0; op < 400; ++op) {
+        const std::uint64_t pick = rng.nextBounded(10);
+        if (pick < 4) {
+            const bool huge = rng.nextBounded(8) == 0;
+            const std::uint64_t alignment = huge ? kHugePageSize : kPageSize;
+            const std::uint64_t len =
+                huge ? (1 + rng.nextBounded(2)) * kHugePageSize
+                     : (1 + rng.nextBounded(24)) * kPageSize;
+            std::map<Addr, Addr> merged;
+            for (const auto &h : held)
+                merged[h.first] = std::max(merged[h.first], h.second);
+            const Addr want =
+                oracleFindFreeRange(mm.vmas(), held, base, len, alignment);
+            if (!allow_nested) {
+                ASSERT_EQ(refFindFreeRange(mm.vmas(), merged, base, len,
+                                           alignment),
+                          want)
+                    << "seed " << seed << " op " << op;
+            }
+            const Addr got = huge ? mm.mmapHugeRegion(len, kProtRead)
+                                  : mm.mmapRegion(len, kProtRead);
+            ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
+        } else if (pick < 7 && mm.vmaCount() > 0) {
+            // Unmap part of a live VMA, sometimes running past it.
+            auto it = mm.vmas().begin();
+            std::advance(it, rng.nextBounded(mm.vmaCount()));
+            const Vma vma = it->second;
+            const std::uint64_t pages = (vma.end - vma.start) / kPageSize;
+            const Addr s = vma.start + rng.nextBounded(pages) * kPageSize;
+            const Addr e = s + (1 + rng.nextBounded(8)) * kPageSize;
+            mm.munmapRegion(s, e - s);
+            freed.emplace_back(s, e);
+        } else if (pick < 9 && !freed.empty()) {
+            // Park a freed range, or a range sharing its start (a
+            // second lazy free of the same address).
+            const auto f = freed[rng.nextBounded(freed.size())];
+            const Addr e =
+                rng.nextBounded(2) ? f.second
+                                   : f.first + (1 + rng.nextBounded(6)) *
+                                                   kPageSize;
+            if (!allow_nested && nests(f.first, e))
+                continue;
+            mm.holdbackRange(f.first, e);
+            held.emplace_back(f.first, e);
+        } else if (!held.empty()) {
+            const std::size_t i = rng.nextBounded(held.size());
+            mm.releaseHoldback(held[i].first, held[i].second);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+    }
+}
+
+TEST(FindFreeRange, MatchesFirstFitRewalkOnSeededTraffic)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed)
+        checkPlacement(seed, false);
+}
+
+TEST(FindFreeRange, MatchesBruteForceWithNestedHoldbacks)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed)
+        checkPlacement(seed, true);
 }
 
 } // namespace
